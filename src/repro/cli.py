@@ -591,14 +591,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         qstats = SweepQueue.open(args.queue_dir).stats()
         stats = (
             f"queue: {qstats.done} done, {qstats.failed} failed, "
-            f"{qstats.quarantined} quarantined "
+            f"{qstats.quarantined} quarantined, "
+            f"{result.shared_cells} shared cells "
             f"({args.queue_dir})"
         )
     else:
         stats = (
             f"cells: {len(result.points) + len(result.failures)} "
             f"(forked {result.forked_cells}, cold {result.cold_cells}, "
-            f"cached {result.cache_hits})"
+            f"shared {result.shared_cells}, cached {result.cache_hits})"
         )
         if args.cache_dir is not None:
             stats += (

@@ -86,6 +86,12 @@ class GriffinHyperParams:
             raise ValueError("lambda_t must be >= 0")
         if self.t_ac < 1 or self.migration_period < 1:
             raise ValueError("t_ac and migration_period must be >= 1")
+        # Every Machine builds its counter tables from these, even under
+        # policies that never collect them, so reject what cannot build.
+        if self.counter_bits < 0:
+            raise ValueError("counter_bits must be >= 0")
+        if self.counter_table_entries < 1:
+            raise ValueError("counter_table_entries must be >= 1")
 
     @property
     def counter_max(self) -> int:

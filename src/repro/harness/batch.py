@@ -56,11 +56,15 @@ class _Member:
     def __init__(self, machine, workload, max_events, stall_threshold):
         self.machine = machine
         self.workload = workload
-        # ``budget`` is the number quoted in failure messages (the full
-        # budget a serial run would report); ``remaining`` is what is
-        # actually left to hand the engine.
+        # ``budget`` spans the machine's whole run and is the number
+        # quoted in failure messages (what a serial run reports);
+        # ``remaining`` is what is actually left to hand the engine — a
+        # forked member has already spent its prefix's events.
         self.budget = max_events
-        self.remaining = max_events
+        self.remaining = (
+            None if max_events is None
+            else max_events - machine.engine.events_executed
+        )
         self.stall_threshold = stall_threshold
         self.error: Optional[BaseException] = None
         self.done = False

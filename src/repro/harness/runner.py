@@ -204,10 +204,6 @@ def drive_checked(
         machine.finish(max_events=max_events, stall_threshold=stall_threshold)
     else:
         while machine.finish_time is None:
-            remaining = (
-                None if max_events is None
-                else max_events - engine.events_executed
-            )
             bound = engine.now + interval
             next_time = engine.next_event_time()
             if next_time is not None and next_time > bound:
@@ -218,7 +214,7 @@ def drive_checked(
                 bound = next_time
             machine.run_until(
                 bound,
-                max_events=remaining,
+                max_events=max_events,
                 stall_threshold=stall_threshold,
             )
             if machine.finish_time is None:

@@ -15,6 +15,17 @@ of what the benchmark files do by hand, available to library users::
     print(result.table("cycles"))
     print(result.speedup_table("baseline", "griffin"))
 
+Effective-input identity
+------------------------
+
+Every cell gets a fingerprint over the inputs its simulation actually
+reads.  Hyperparameters the cell's policy never reads
+(:func:`repro.system.machine.unread_hyper_fields` — for example every
+Griffin knob under ``baseline``) are left out, so cells that differ only
+there share one identity.  The sweep runs each identity once and lands
+an independent copy of its outcome on every cell that shares it; the
+in-process executor, the queue and ``repro serve`` all plan this way.
+
 Snapshot-fork execution
 -----------------------
 
@@ -33,11 +44,9 @@ never depend on ``fork``, ``workers``, or ``chunk_size``.
 Cells that cannot share a prefix run cold, exactly as before: object
 workloads (no stable fingerprint), predictive policies (they consume
 ``lambda_t`` during warm-up), unknown policies (the cold path owns the
-error message), and groups of one (nothing to amortize).
-
-One observable asymmetry: a forked cell that exhausts ``max_events``
-reports the *continuation* budget in its failure message, not the full
-one.  The stall happens after the same total event count either way.
+error message), and groups of one distinct cell (nothing to amortize).
+Event budgets span a cell's whole run, so even a forked cell that
+exhausts ``max_events`` fails with its cold run's exact message.
 
 Caching
 -------
@@ -53,6 +62,7 @@ never cached.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import hashlib
@@ -67,7 +77,11 @@ from repro.core.policies import get_policy
 from repro.harness.results import FailedRun, RunResult
 from repro.harness.runner import harvest_result, prepare_run, run_workload
 from repro.metrics.report import format_table, geometric_mean
-from repro.system.machine import LATE_HYPER_FIELDS, LATE_POLICY_FIELDS
+from repro.system.machine import (
+    LATE_HYPER_FIELDS,
+    LATE_POLICY_FIELDS,
+    unread_hyper_fields,
+)
 
 _METRICS = {
     "cycles": lambda r: r.cycles,
@@ -103,6 +117,9 @@ class SweepResult:
         cache_misses: Cells executed while a cache was attached.
         forked_cells: Cells continued from a shared prefix snapshot.
         cold_cells: Cells simulated from cycle zero.
+        shared_cells: Cells answered by another cell's run (same
+            effective inputs).  ``forked_cells + cold_cells +
+            shared_cells + cache_hits`` is the grid size.
         fork_groups: Shared-prefix groups actually forked.
         prefix_events: Events executed across all shared prefixes; each
             group's other members skipped roughly this many each.
@@ -114,6 +131,7 @@ class SweepResult:
     cache_misses: int = 0
     forked_cells: int = 0
     cold_cells: int = 0
+    shared_cells: int = 0
     fork_groups: int = 0
     prefix_events: int = 0
 
@@ -227,13 +245,26 @@ def _resolve_variant(args):
     return policy, hyper
 
 
-def cell_fingerprint(args, code_fp: str = "") -> Optional[str]:
-    """Stable identity of one grid cell, or None if it has none.
+def _hyper_identity(policy, hyper, masked: frozenset = frozenset()) -> dict:
+    """Hyperparameters as fingerprints hash them: the fields ``policy``
+    never reads, and ``masked``, are left out."""
+    skip = unread_hyper_fields(policy) | masked
+    return {
+        f.name: _canon(getattr(hyper, f.name))
+        for f in dataclasses.fields(hyper)
+        if f.name not in skip
+    }
 
-    Hashes every input that reaches the simulation — workload name,
-    policy, system config, hyperparameters, faults, scale, seed, and the
-    run budgets — plus the source-tree fingerprint, so a cached result is
-    valid exactly when a fresh run would be byte-identical to it.
+
+def cell_fingerprint(args, code_fp: str = "") -> Optional[str]:
+    """Effective-input identity of one grid cell, or None if it has none.
+
+    Hashes every input the simulation reads — workload name, policy,
+    system config, the hyperparameters the policy reads, faults, scale,
+    seed, and the run budgets — plus the source-tree fingerprint.  Two
+    cells with one fingerprint run byte-identically, so a sweep runs
+    only one of them, and a cached result is valid exactly when a fresh
+    run would be byte-identical to it.
     """
     resolved = _resolve_variant(args)
     if resolved is None:
@@ -245,7 +276,7 @@ def cell_fingerprint(args, code_fp: str = "") -> Optional[str]:
         "workload": workload,
         "policy": _canon(policy),
         "config": _canon(config),
-        "hyper": _canon(hyper),
+        "hyper": _hyper_identity(policy, hyper),
         "fault": _canon(fault),
         "scale": scale,
         "seed": seed,
@@ -262,10 +293,11 @@ def cell_fingerprint(args, code_fp: str = "") -> Optional[str]:
 def group_fingerprint(args, code_fp: str = "") -> Optional[str]:
     """Shared-prefix identity of a cell, or None if it cannot fork.
 
-    Masks the late-binding fields — two cells with the same group
-    fingerprint replay an identical event stream up to the migration
-    phase, so one prefix snapshot serves both.  Predictive policies
-    consume ``lambda_t`` during warm-up and therefore never group.
+    Masks the late-binding fields, and the hyperparameters the policy
+    never reads — two cells with the same group fingerprint replay an
+    identical event stream up to the migration phase, so one prefix
+    snapshot serves both.  Predictive policies consume ``lambda_t``
+    during warm-up and therefore never group.
     """
     resolved = _resolve_variant(args)
     if resolved is None:
@@ -287,11 +319,7 @@ def group_fingerprint(args, code_fp: str = "") -> Optional[str]:
             for f in dataclasses.fields(policy)
             if f.name not in LATE_POLICY_FIELDS
         },
-        "hyper": {
-            f.name: _canon(getattr(hyper, f.name))
-            for f in dataclasses.fields(hyper)
-            if f.name not in LATE_HYPER_FIELDS
-        },
+        "hyper": _hyper_identity(policy, hyper, LATE_HYPER_FIELDS),
         "config": _canon(config),
         "fault": _canon(fault),
         "scale": scale,
@@ -488,12 +516,6 @@ def partition_cached_cells(cells, cache) -> tuple[list, list]:
     and ``missing`` the remaining planned cells (grid order preserved).
     This is the partial-grid submission path: identical resubmissions
     are served entirely from ``cached`` and enqueue nothing.
-
-    Group fingerprints are deliberately left as planned even when cache
-    hits shrink a fork group below two members: the serial oracle runs
-    the full grid and forks such a cell, so keeping the plan keeps the
-    budget-exhaustion failure message (which quotes the continuation
-    budget) byte-identical to serial.
     """
     cached: list = []
     missing: list = []
@@ -506,28 +528,119 @@ def partition_cached_cells(cells, cache) -> tuple[list, list]:
     return cached, missing
 
 
+@dataclass
+class SweepPlan:
+    """Effective-input identity and fork plan of a sweep grid.
+
+    The planning step every executor shares — in-process, queue and
+    ``repro serve``.  ``cells`` holds one ``(key, args, fingerprint,
+    group_fp)`` row per grid cell, in grid order; ``owner[i]`` is the
+    index of the cell whose run answers cell ``i``: the first cell with
+    the same fingerprint, or ``i`` itself.  A cell keeps its group
+    fingerprint only when it runs and at least one other distinct cell
+    shares the prefix (a group of one amortizes nothing and runs cold).
+    """
+
+    cells: list
+    owner: list
+
+    def distinct(self) -> list:
+        """Indices of the cells that run, in grid order."""
+        return [i for i, owner in enumerate(self.owner) if owner == i]
+
+    def answers(self) -> dict:
+        """Running cell index -> every grid index its outcome answers."""
+        out: dict[int, list] = {}
+        for index, owner in enumerate(self.owner):
+            out.setdefault(owner, []).append(index)
+        return out
+
+    def rows(self) -> list:
+        """The distinct cells' rows: one queue row per identity."""
+        return [self.cells[i] for i in self.distinct()]
+
+    def fan_out(self, result: SweepResult) -> SweepResult:
+        """Answer every grid cell from its owner's outcome in ``result``.
+
+        ``result`` is keyed by the distinct cells' keys (a drained queue,
+        a service assembly); the returned result holds every grid key in
+        grid order, each with an independent copy of its outcome.
+        """
+        out = SweepResult()
+        for index, (key, _args, _fp, _gfp) in enumerate(self.cells):
+            owner = self.owner[index]
+            source = self.cells[owner][0]
+            if source in result.points:
+                run = result.points[source]
+                out.points[key] = run if owner == index else _copy_outcome(run)
+            else:
+                out.failures[key] = dataclasses.replace(
+                    result.failures[source],
+                    workload=key.workload, policy=key.policy,
+                )
+            if owner != index:
+                out.shared_cells += 1
+        return out
+
+
+def _fork_groups(cells, indices) -> tuple[list, list]:
+    """Split ``indices`` into fork groups and cold cells.
+
+    Returns ``(groups, cold)``: ``groups`` lists ``(group_fp, members)``
+    for every prefix at least two of the cells share (first-seen order);
+    ``cold`` holds the rest in grid order.
+    """
+    by_prefix: dict[str, list[int]] = {}
+    cold: list[int] = []
+    for index in indices:
+        group_fp = cells[index][3]
+        if group_fp is None:
+            cold.append(index)
+        else:
+            by_prefix.setdefault(group_fp, []).append(index)
+    groups = []
+    for group_fp, members in by_prefix.items():
+        if len(members) < 2:
+            cold.extend(members)
+        else:
+            groups.append((group_fp, members))
+    return groups, sorted(cold)
+
+
+def plan_sweep(grid, code_fp: str = "", fork: bool = True) -> SweepPlan:
+    """Plan a ``(key, args)`` grid: collapse duplicate identities, then
+    group the distinct cells by shared prefix (see :class:`SweepPlan`)."""
+    owner: list[int] = []
+    cells: list = []
+    first: dict[str, int] = {}
+    for index, (key, args) in enumerate(grid):
+        fingerprint = cell_fingerprint(args, code_fp)
+        if fingerprint is None:
+            owner.append(index)
+        else:
+            owner.append(first.setdefault(fingerprint, index))
+        group_fp = None
+        if fork and owner[index] == index:
+            group_fp = group_fingerprint(args, code_fp)
+        cells.append((key, args, fingerprint, group_fp))
+    groups, _cold = _fork_groups(
+        cells, [i for i, o in enumerate(owner) if o == i]
+    )
+    grouped = {index for _gfp, members in groups for index in members}
+    cells = [
+        (key, args, fingerprint, group_fp if index in grouped else None)
+        for index, (key, args, fingerprint, group_fp) in enumerate(cells)
+    ]
+    return SweepPlan(cells=cells, owner=owner)
+
+
 def plan_queue_cells(grid, code_fp: str = "", fork: bool = True) -> list:
     """Queue rows ``(key, args, fingerprint, group_fp)`` for a grid.
 
-    Mirrors the in-process executor's fork plan exactly: a cell keeps
-    its group fingerprint only when at least two cells share it (a group
-    of one amortizes nothing and runs cold).  Matching the plan matters
-    beyond speed — a forked cell that exhausts ``max_events`` reports
-    the *continuation* budget in its failure message, so queue-executed
-    failures stay byte-identical to serial ones.
+    One row per distinct identity, with the in-process executor's fork
+    plan; :meth:`SweepPlan.fan_out` answers the other cells at assembly.
     """
-    group_fps = []
-    members: dict[str, int] = {}
-    for _key, args in grid:
-        group_fp = group_fingerprint(args, code_fp) if fork else None
-        group_fps.append(group_fp)
-        if group_fp is not None:
-            members[group_fp] = members.get(group_fp, 0) + 1
-    return [
-        (key, args, cell_fingerprint(args, code_fp),
-         group_fp if group_fp is not None and members[group_fp] >= 2 else None)
-        for (key, args), group_fp in zip(grid, group_fps)
-    ]
+    return plan_sweep(grid, code_fp, fork).rows()
 
 
 @dataclass(frozen=True)
@@ -620,7 +733,8 @@ class Sweep:
         Args:
             scale / seed: Forwarded to every run.
             progress: Optional callable ``(done, total, key)`` invoked as
-                each point completes (completion order, not grid order).
+                each point completes (completion order, not grid order;
+                cells that share an identity complete together).
             workers: Process count.  Grid points are independent
                 simulations, so they parallelize perfectly; results are
                 identical regardless of worker count (every run is
@@ -636,7 +750,8 @@ class Sweep:
                 chunk size.
             fork: Share warm-up across cells that differ only in
                 late-binding knobs (see module docstring).  Results are
-                byte-identical either way; False forces every cell cold.
+                byte-identical either way; False runs every distinct
+                cell cold.  Cells with one identity run once regardless.
             cache_dir: Directory for the on-disk result + snapshot cache;
                 None disables caching.
             resume: Serve cells already present in ``cache_dir`` from
@@ -724,66 +839,52 @@ class Sweep:
         total = self.size()
         grid = list(self._grid(scale, seed, max_events_per_run,
                                stall_threshold, checks, bundle_dir))
-        outcomes: dict[int, object] = {}
-        from_cache: set[int] = set()
-        done = 0
-
-        def land(index: int, outcome) -> None:
-            nonlocal done
-            outcomes[index] = outcome
-            done += 1
-            if progress is not None:
-                progress(done, total, grid[index][0])
-
-        # --- cache: resolve fingerprints, maybe resume completed cells
         cache = None
         code_fp = ""
-        fingerprints: list[Optional[str]] = [None] * len(grid)
         if cache_dir is not None:
             from repro.harness.io import SweepResultCache
             from repro.perf.fingerprint import code_fingerprint
 
             cache = SweepResultCache(cache_dir)
             code_fp = code_fingerprint()
-            for index, (_key, args) in enumerate(grid):
-                fingerprints[index] = cell_fingerprint(args, code_fp)
-            if resume:
-                for index, fingerprint in enumerate(fingerprints):
-                    if fingerprint is None:
-                        continue
-                    cached = cache.load(fingerprint)
-                    if cached is not None:
-                        result.cache_hits += 1
-                        from_cache.add(index)
-                        land(index, cached)
+        plan = plan_sweep(grid, code_fp, fork)
+        answers = plan.answers()
+        outcomes: dict[int, object] = {}
+        done = 0
 
-        # --- supervised execution: a wall-clock budget means every
-        # remaining cell runs cold in its own killable child process
+        def land(index: int, outcome) -> None:
+            """Record ``index``'s outcome on every cell it answers."""
+            nonlocal done
+            for cell in answers[index]:
+                outcomes[cell] = (
+                    outcome if cell == index else _copy_outcome(outcome)
+                )
+                done += 1
+                if progress is not None:
+                    progress(done, total, grid[cell][0])
+
+        # --- cache: maybe resume completed identities
+        pending: list[int] = []
+        for index in plan.distinct():
+            fingerprint = plan.cells[index][2]
+            cached = None
+            if resume and cache is not None and fingerprint is not None:
+                cached = cache.load(fingerprint)
+            if cached is None:
+                pending.append(index)
+                result.shared_cells += len(answers[index]) - 1
+            else:
+                result.cache_hits += len(answers[index])
+                land(index, cached)
+
         if cell_timeout is not None:
-            self._run_supervised(grid, outcomes, workers, cell_timeout,
+            # A wall-clock budget means every remaining cell runs cold in
+            # its own killable child process.
+            self._run_supervised(grid, pending, workers, cell_timeout,
                                  result, land)
-
-        # --- plan: split the remaining cells into fork groups and colds
-        pending = [i for i in range(len(grid)) if i not in outcomes]
-        groups: list[tuple[Optional[str], list[int]]] = []
-        cold: list[int] = []
-        if fork:
-            by_prefix: dict[str, list[int]] = {}
-            for index in pending:
-                group_fp = group_fingerprint(grid[index][1], code_fp)
-                if group_fp is None:
-                    cold.append(index)
-                else:
-                    by_prefix.setdefault(group_fp, []).append(index)
-            for group_fp, members in by_prefix.items():
-                if len(members) < 2:
-                    # A group of one amortizes nothing; run it cold.
-                    cold.extend(members)
-                else:
-                    groups.append((group_fp, members))
-            cold.sort()
+            groups, cold = [], []
         else:
-            cold = pending
+            groups, cold = _fork_groups(plan.cells, pending)
 
         # --- execute
         if workers <= 1:
@@ -810,19 +911,21 @@ class Sweep:
                     result.cold_cells += 1
         else:
             self._run_parallel(
-                grid, groups, cold, workers, chunk_size, total,
+                grid, groups, cold, workers, chunk_size, len(pending),
                 cache, result, land,
             )
 
-        # --- record in grid order; store fresh successes in the cache
+        # --- record in grid order; cache each fresh identity once
         for index, (key, _args) in enumerate(grid):
-            outcome = outcomes[index]
-            self._record(result, key, outcome)
-            if (cache is not None and index not in from_cache
-                    and fingerprints[index] is not None):
+            self._record(result, key, outcomes[index])
+        if cache is not None:
+            for index in pending:
+                fingerprint = plan.cells[index][2]
+                if fingerprint is None:
+                    continue
                 result.cache_misses += 1
-                if isinstance(outcome, RunResult):
-                    cache.store(fingerprints[index], outcome)
+                if isinstance(outcomes[index], RunResult):
+                    cache.store(fingerprint, outcomes[index])
         return result
 
     # ------------------------------------------------------------------
@@ -919,9 +1022,9 @@ class Sweep:
                     else:
                         result.cold_cells += 1
 
-    def _run_supervised(self, grid, outcomes, workers, cell_timeout,
+    def _run_supervised(self, grid, pending, workers, cell_timeout,
                         result, land) -> None:
-        """Run every pending cell cold in a supervised child process.
+        """Run every ``pending`` cell cold in a supervised child process.
 
         The supervisor (:func:`repro.harness.worker.run_cell_supervised`)
         SIGKILLs a cell past ``cell_timeout`` seconds, so a hang in
@@ -931,7 +1034,6 @@ class Sweep:
         """
         from repro.harness.worker import run_cell_supervised
 
-        pending = [i for i in range(len(grid)) if i not in outcomes]
         if workers <= 1:
             for index in pending:
                 land(index, run_cell_supervised(
@@ -977,21 +1079,26 @@ class Sweep:
         grid = list(self._grid(scale, seed, max_events_per_run,
                                stall_threshold, checks, bundle_dir))
         code_fp = code_fingerprint()
-        cells = plan_queue_cells(grid, code_fp, fork)
+        plan = plan_sweep(grid, code_fp, fork)
+        answers = plan.answers()
+        weights = [len(answers[index]) for index in plan.distinct()]
         settings = QueueSettings(
             lease_duration=lease_duration, max_attempts=max_attempts,
             backoff_base=backoff_base, backoff_cap=backoff_cap,
             cell_timeout=cell_timeout,
         )
         queue = SweepQueue.create_or_attach(
-            queue_dir, cells, settings=settings, code_fp=code_fp
+            queue_dir, plan.rows(), settings=settings, code_fp=code_fp
         )
         total = len(grid)
 
         def report_progress() -> None:
             if progress is not None:
-                stats = queue.stats()
-                progress(stats.total - stats.live, total, None)
+                settled = sum(
+                    weight for weight, row in zip(weights, queue.rows())
+                    if row[1] not in ("open", "leased")
+                )
+                progress(settled, total, None)
 
         if workers > 1:
             ctx = multiprocessing.get_context(
@@ -1028,7 +1135,7 @@ class Sweep:
         while not queue.drained():
             run_worker(queue_dir, exit_when_drained=True)
         report_progress()
-        return queue.collect()
+        return plan.fan_out(queue.collect())
 
     @staticmethod
     def _record(result: SweepResult, key: SweepKey, outcome) -> None:
@@ -1051,6 +1158,17 @@ class Sweep:
 
 def _chunked(items: list, size: int) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def _copy_outcome(outcome):
+    """An independent copy of a cell outcome for a cell that shares it.
+
+    Exceptions and queue failures are only read, never mutated, and
+    every key gets its own :class:`FailedRun` at record time.
+    """
+    if isinstance(outcome, RunResult):
+        return copy.deepcopy(outcome)
+    return outcome
 
 
 def _fork_cell(args):
@@ -1090,11 +1208,8 @@ def _finish_fork(snap, meta: _WorkloadMeta, cell) -> RunResult:
     machine = snap.fork()
     machine.adopt_variant(policy, hyper)
     if machine.finish_time is None:
-        budget = None
-        if max_events is not None:
-            # The budget spans prefix + continuation, like a cold run's.
-            budget = max_events - snap.events_executed
-        machine.finish(max_events=budget, stall_threshold=stall_threshold)
+        # The budget spans prefix + continuation, like a cold run's.
+        machine.finish(max_events=max_events, stall_threshold=stall_threshold)
     return harvest_result(machine, meta)
 
 
@@ -1119,8 +1234,7 @@ def _finish_fork_batch(snap, meta: _WorkloadMeta, cells: list) -> list:
 
     Outcome-per-cell (result or exception), like :func:`_finish_fork_safe`
     over the list — and byte-identical to it, since batch members never
-    interact.  Budget failure messages quote the continuation budget,
-    matching the serial fork path's documented asymmetry.
+    interact.
     """
     from repro.harness.batch import BatchRunner
 
@@ -1131,10 +1245,9 @@ def _finish_fork_batch(snap, meta: _WorkloadMeta, cells: list) -> list:
         try:
             machine = snap.fork()
             machine.adopt_variant(policy, hyper)
-            budget = None
-            if max_events is not None:
-                budget = max_events - snap.events_executed
-            members.append(runner.add(machine, meta, budget, stall_threshold))
+            members.append(
+                runner.add(machine, meta, max_events, stall_threshold)
+            )
         except Exception as exc:
             members.append(exc)
     runner.drive()

@@ -6,8 +6,10 @@ harness already proves byte-identical to serial ``Sweep.run()``:
 * submissions arrive as JSON sweep specs (:func:`sweep_from_spec`) and
   are canonicalized to the queue's spec digest, so identical submissions
   — sequential or concurrent — share one execution;
-* the fingerprint cache answers already-computed cells immediately;
-  only missing cells are enqueued (:func:`partition_cached_cells`);
+* cells with the same effective inputs collapse to one identity
+  (:func:`plan_sweep`); the fingerprint cache answers already-computed
+  identities immediately, and only missing ones are enqueued
+  (:func:`partition_cached_cells`), one queue row each;
 * missing cells run through a :class:`SweepQueue` drained by a
   supervised local worker fleet (:class:`FleetSupervisor`);
 * per-cell progress streams back as NDJSON while the fleet works.
@@ -45,9 +47,10 @@ from repro.harness.queue import QueueSettings, SweepQueue
 from repro.harness.results import FailedRun
 from repro.harness.sweep import (
     SpecError,
+    SweepPlan,
     SweepResult,
     partition_cached_cells,
-    plan_queue_cells,
+    plan_sweep,
     sweep_from_spec,
 )
 from repro.service.admission import (
@@ -56,7 +59,7 @@ from repro.service.admission import (
     CircuitBreaker,
     Deadline,
 )
-from repro.service.fleet import FleetSupervisor
+from repro.service.fleet import FleetSupervisor, stop_worker_launcher
 from repro.service.http import (
     BadRequest,
     NDJSONStream,
@@ -72,9 +75,9 @@ class Submission:
 
     digest: str
     total: int
-    cells: list                    # full planned grid (key, args, fp, gfp)
+    plan: SweepPlan                # identities and fork plan of the grid
     cached: list                   # (grid_index, key, fingerprint, RunResult)
-    missing: list                  # planned cells still to compute
+    missing: list                  # distinct planned cells still to compute
     qgrid: list                    # grid index of each queue cell
     queue: Optional[SweepQueue]
     fleet: Optional[FleetSupervisor]
@@ -91,12 +94,18 @@ class Submission:
         if self.cancel_reason is None and not self.done_event.is_set():
             self.cancel_reason = reason
 
+    @property
+    def cached_cells(self) -> int:
+        """Grid cells answered from the cache (shared cells included)."""
+        answers = self.plan.answers()
+        return sum(len(answers[index]) for index, *_rest in self.cached)
+
     def summary(self) -> dict:
         return {
             "digest": self.digest,
             "state": self.state,
             "total": self.total,
-            "cached": len(self.cached),
+            "cached": self.cached_cells,
             "enqueued": len(self.missing),
             "cancel_reason": self.cancel_reason,
         }
@@ -172,9 +181,11 @@ class ExperimentService:
             None, None,
         ))
         code_fp = code_fingerprint()
-        cells = plan_queue_cells(grid, code_fp, fork=True)
-        digest = SweepQueue._spec_digest(cells, code_fp)
-        return {"cells": cells, "digest": digest, "code_fp": code_fp,
+        plan = plan_sweep(grid, code_fp, fork=True)
+        # The digest covers every grid key, not just the distinct rows:
+        # submissions share an execution only if they assemble alike.
+        digest = SweepQueue._spec_digest(plan.cells, code_fp)
+        return {"plan": plan, "digest": digest, "code_fp": code_fp,
                 "deadline_s": deadline_s}
 
     def _new_queue_dir(self, digest: str) -> Path:
@@ -194,23 +205,29 @@ class ExperimentService:
 
     def _create_submission(self, prep: dict) -> Submission:
         """Build a Submission from prepared cells (blocking; may raise)."""
-        cells = prep["cells"]
-        cached, missing = partition_cached_cells(cells, self.cache)
-        cached_indices = {index for index, _k, _fp, _r in cached}
-        qgrid = [i for i in range(len(cells)) if i not in cached_indices]
+        plan = prep["plan"]
+        distinct = plan.distinct()
+        answers = plan.answers()
+        hits, missing = partition_cached_cells(plan.rows(), self.cache)
+        cached = [(distinct[row], key, fingerprint, result)
+                  for row, key, fingerprint, result in hits]
+        cached_rows = {row for row, _k, _fp, _r in hits}
+        qgrid = [index for row, index in enumerate(distinct)
+                 if row not in cached_rows]
         events = [
-            {"event": "cell", "index": index, "status": "cached",
-             "key": sweep_key_to_dict(key)}
-            for index, key, _fp, _result in cached
+            {"event": "cell", "index": cell, "status": "cached",
+             "key": sweep_key_to_dict(plan.cells[cell][0])}
+            for index, _key, _fp, _result in cached
+            for cell in answers[index]
         ]
         if not missing:
             sub = Submission(
-                digest=prep["digest"], total=len(cells), cells=cells,
+                digest=prep["digest"], total=len(plan.cells), plan=plan,
                 cached=cached, missing=[], qgrid=[], queue=None, fleet=None,
                 state="done", events=events,
             )
             sub.events.append({"event": "done", "state": "done",
-                               "cached": len(cached), "enqueued": 0})
+                               "cached": sub.cached_cells, "enqueued": 0})
             sub.done_event.set()
             return sub
         # Guards: budget first (nothing held on refusal), then breaker.
@@ -240,7 +257,7 @@ class ExperimentService:
             self.breaker.abort_trial()
             raise
         return Submission(
-            digest=prep["digest"], total=len(cells), cells=cells,
+            digest=prep["digest"], total=len(plan.cells), plan=plan,
             cached=cached, missing=missing, qgrid=qgrid, queue=queue,
             fleet=fleet, admitted=len(missing), events=events,
         )
@@ -253,17 +270,18 @@ class ExperimentService:
         """Append a progress event for every newly settled queue cell."""
         if sub.queue is None:
             return
+        answers = sub.plan.answers()
         for qi, row in enumerate(sub.queue.rows()):
             _idx, status, _owner, _last, attempts = row[:5]
             if status in ("done", "failed", "quarantined") \
                     and seen.get(qi) != status:
                 seen[qi] = status
-                grid_index = sub.qgrid[qi]
-                key = sub.cells[grid_index][0]
-                sub.events.append({
-                    "event": "cell", "index": grid_index, "status": status,
-                    "attempts": attempts, "key": sweep_key_to_dict(key),
-                })
+                for cell in answers[sub.qgrid[qi]]:
+                    key = sub.plan.cells[cell][0]
+                    sub.events.append({
+                        "event": "cell", "index": cell, "status": status,
+                        "attempts": attempts, "key": sweep_key_to_dict(key),
+                    })
 
     def _harvest(self, sub: Submission) -> None:
         """Copy every completed queue cell into the fingerprint cache.
@@ -336,7 +354,8 @@ class ExperimentService:
                 self.admission.release(sub.admitted)
                 sub.admitted = 0
             final = {"event": "done", "state": sub.state,
-                     "cached": len(sub.cached), "enqueued": len(sub.missing)}
+                     "cached": sub.cached_cells,
+                     "enqueued": len(sub.missing)}
             if sub.cancel_reason is not None:
                 final["reason"] = sub.cancel_reason
             if sub.error is not None:
@@ -347,17 +366,18 @@ class ExperimentService:
     def _assemble(self, sub: Submission) -> SweepResult:
         """Merge cache hits and queue outcomes back into grid order.
 
-        Mirrors :meth:`SweepQueue.collect` for the queued subset, so the
+        Mirrors :meth:`SweepQueue.collect` for the queued subset, then
+        answers every shared cell from its identity's outcome, so the
         serialized result is byte-identical to serial ``Sweep.run()``.
         """
-        cached_map = {index: (key, result)
-                      for index, key, _fp, result in sub.cached}
+        cached_map = {index: result for index, _key, _fp, result in sub.cached}
         qrows = sub.queue.rows() if sub.queue is not None else []
         qmap = {sub.qgrid[qi]: row for qi, row in enumerate(qrows)}
         result = SweepResult()
-        for grid_index, (key, _args, _fp, _gfp) in enumerate(sub.cells):
+        for grid_index in sub.plan.distinct():
+            key = sub.plan.cells[grid_index][0]
             if grid_index in cached_map:
-                result.points[key] = cached_map[grid_index][1]
+                result.points[key] = cached_map[grid_index]
                 continue
             (_idx, status, _owner, last_owner, attempts, error_type,
              message, result_path, bundle_path) = qmap[grid_index]
@@ -377,7 +397,7 @@ class ExperimentService:
                     message=f"cell still {status} when collected",
                     attempts=max(attempts, 1), last_owner=last_owner,
                 )
-        return result
+        return sub.plan.fan_out(result)
 
     # ------------------------------------------------------------------
     # HTTP handlers
@@ -473,7 +493,7 @@ class ExperimentService:
             await stream.emit({
                 "event": "accepted", "digest": sub.digest,
                 "state": sub.state, "total": sub.total,
-                "cached": len(sub.cached), "enqueued": len(sub.missing),
+                "cached": sub.cached_cells, "enqueued": len(sub.missing),
             })
             cursor = 0
             notified_deadline = False
@@ -667,6 +687,7 @@ class ExperimentService:
     def run(self) -> int:
         """Serve until SIGTERM/SIGINT; drain gracefully; exit 0."""
         asyncio.run(self._main(install_signals=True))
+        stop_worker_launcher()
         return 0
 
     # -- test harness helpers ------------------------------------------

@@ -33,20 +33,40 @@ from typing import Callable, Optional
 from repro.harness.queue import SweepQueue, jittered_backoff_delay
 from repro.harness.worker import run_worker
 
-_CTX = multiprocessing.get_context(
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-)
+# Workers never fork from the service itself: its executor threads may
+# hold locks at that moment, and a forked child inherits them held and
+# deadlocks on the first one it takes.  A forkserver forks each worker
+# from a single-threaded server process instead (spawn where the
+# platform has no forkserver), preloaded so a worker starts warm.
+if "forkserver" in multiprocessing.get_all_start_methods():
+    _CTX = multiprocessing.get_context("forkserver")
+    _CTX.set_forkserver_preload([__name__])
+else:
+    _CTX = multiprocessing.get_context("spawn")
 
 
 def _worker_entry(queue_dir: str) -> None:
-    # Fork children inherit the parent's asyncio signal wakeup fd (the
-    # event loop's self-pipe socketpair).  Left in place, a SIGTERM
-    # delivered to the *worker* writes its signal byte into that shared
-    # pipe and the parent's loop reads it as its own SIGTERM — draining
-    # a fleet would shut the whole service down.  Detach before
-    # installing the worker's handlers.
+    # Detach from any inherited signal wakeup fd (a fork child would
+    # share the service loop's self-pipe, and a SIGTERM meant for the
+    # worker would shut the whole service down) before installing the
+    # worker's own handlers.
     signal.set_wakeup_fd(-1)
     run_worker(queue_dir, install_signal_handlers=True)
+
+
+def stop_worker_launcher() -> None:
+    """Stop and reap the helper processes that starting workers left.
+
+    The forkserver, and the resource tracker it starts, live as long as
+    the process that started them and exit after it — as orphans that
+    nothing may reap.  A service process calls this on its way out,
+    once every fleet has drained, so it leaves no process behind.  The
+    stdlib only offers this through its private ``_stop`` methods.
+    """
+    from multiprocessing import forkserver, resource_tracker
+
+    for helper in (forkserver._forkserver, resource_tracker._resource_tracker):
+        helper._stop()
 
 
 def default_worker_factory(queue_dir: str):

@@ -62,6 +62,48 @@ LATE_HYPER_FIELDS = frozenset({
 # display-only.
 LATE_POLICY_FIELDS = frozenset({"name", "drain"})
 
+# Hyperparameters whose only readers a mechanism flag switches off.
+# ``batch_cpu_faults`` off: the driver forces the fault batch size to 1,
+# and ``FaultBatcher`` arms its timeout only for batches above 1.
+_FAULT_BATCH_FIELDS = frozenset({"n_ptw", "fault_batch_timeout"})
+# ``inter_gpu_migration`` off: ``GPUDriver.start`` never arms
+# ``_collect_counts`` / ``_migration_phase``, the only callers of DPC,
+# the planner and the predictor.  The Shader Engine counter tables still
+# count every access, but only ``_collect_counts`` reads or sizes a
+# report from them, so their width and size never reach a result.
+_INTER_GPU_FIELDS = frozenset({
+    "t_ac",
+    "alpha",
+    "lambda_d",
+    "lambda_s",
+    "lambda_t",
+    "trend_fraction",
+    "shared_min_share",
+    "migration_period",
+    "max_pages_per_round",
+    "max_source_gpus_per_round",
+    "min_pages_per_source",
+    "counter_bits",
+    "counter_table_entries",
+})
+
+
+def unread_hyper_fields(policy: PolicyConfig) -> frozenset:
+    """Hyperparameter fields a run under ``policy`` never reads.
+
+    Two runs that differ only in these fields are byte-identical, so a
+    sweep runs one of them and answers the other from its result (see
+    docs/performance.md, "Sweep throughput").  ``page_id_bits`` is
+    always unread: only :mod:`repro.core.hardware_cost` uses it.
+    Policy fields are never unread.
+    """
+    fields = {"page_id_bits"}
+    if not policy.batch_cpu_faults:
+        fields |= _FAULT_BATCH_FIELDS
+    if not policy.inter_gpu_migration:
+        fields |= _INTER_GPU_FIELDS
+    return frozenset(fields)
+
 
 def variant_mismatches(
     policy_a: PolicyConfig,
@@ -71,8 +113,11 @@ def variant_mismatches(
 ) -> list[str]:
     """Fields that make two variants unsafe to fork from one prefix."""
     bad: list[str] = []
+    safe = LATE_HYPER_FIELDS | (
+        unread_hyper_fields(policy_a) & unread_hyper_fields(policy_b)
+    )
     for f in dataclasses.fields(GriffinHyperParams):
-        if f.name in LATE_HYPER_FIELDS:
+        if f.name in safe:
             continue
         if getattr(hyper_a, f.name) != getattr(hyper_b, f.name):
             bad.append(f"hyper.{f.name}")
@@ -205,7 +250,7 @@ class Machine:
         """Execute the kernel sequence to completion.
 
         Args:
-            max_events: Per-run event budget.  Exhausting it raises
+            max_events: Event budget for the whole run.  Exhausting it raises
                 :class:`SimulationStall` (the engine's ``exhausted`` flag
                 distinguishes it from a clean drain) instead of silently
                 returning a half-finished simulation.
@@ -234,9 +279,16 @@ class Machine:
         scheduled later stay queued, so a subsequent ``finish`` (possibly
         on a forked copy) continues byte-identically to an uninterrupted
         run.  Returns early if the workload completes first.
+
+        ``max_events`` budgets the whole run from cycle zero: events this
+        machine already executed — in earlier stages, or in the prefix
+        it was forked from — count against it, so a staged or forked run
+        fails exactly where an uninterrupted one does, with the same
+        message.
         """
         self.engine.run(
-            until=cycle, max_events=max_events, stall_threshold=stall_threshold
+            until=cycle, max_events=self._events_left(max_events),
+            stall_threshold=stall_threshold,
         )
         if self.engine.exhausted:
             raise SimulationStall(
@@ -252,8 +304,14 @@ class Machine:
         max_events: Optional[int] = None,
         stall_threshold: Optional[int] = 1_000_000,
     ) -> float:
-        """Run the (possibly already-started) simulation to completion."""
-        self.engine.run(max_events=max_events, stall_threshold=stall_threshold)
+        """Run the (possibly already-started) simulation to completion.
+
+        ``max_events`` budgets the whole run, as in :meth:`run_until`.
+        """
+        self.engine.run(
+            max_events=self._events_left(max_events),
+            stall_threshold=stall_threshold,
+        )
         if self.engine.exhausted:
             raise SimulationStall(
                 f"simulation exhausted its event budget ({max_events} events) "
@@ -269,6 +327,11 @@ class Machine:
                 f"pending: {self.engine.pending_events()})"
             )
         return self.finish_time
+
+    def _events_left(self, max_events: Optional[int]) -> Optional[int]:
+        if max_events is None:
+            return None
+        return max_events - self.engine.events_executed
 
     # ------------------------------------------------------------------
     # Snapshot / fork support

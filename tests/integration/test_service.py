@@ -233,6 +233,65 @@ class TestDuplicateSubmissions:
             service.stop_background()
 
 
+def _knob_miss(seed: int) -> dict:
+    """Three baseline knob variants: one cell identity, one queue row."""
+    return {
+        "workloads": ["MT"], "policies": ["baseline"],
+        "configs": {"tiny": {"preset": "tiny", "gpus": 2}},
+        "hypers": {"default": {}, "half_round": {"max_pages_per_round": 96},
+                   "strict": {"lambda_d": 3.0}},
+        "scale": 0.005, "seed": seed,
+    }
+
+
+class TestConcurrentMisses:
+    def test_concurrent_distinct_misses_all_stream_done(self, tmp_path):
+        """Concurrent submissions that each need computation all finish.
+
+        Each submission starts its own fleet while the service's
+        executor threads work on the other.  Workers forked straight
+        from that process could inherit a lock held by one of those
+        threads and block on it forever; they start from a forkserver
+        instead.  Every stream must reach ``done`` within the deadline,
+        with the shared knob variants answered from one enqueued row.
+        """
+        service = _start(tmp_path / "root")
+        try:
+            for round_seed in (101, 103, 105):
+                specs = [_knob_miss(round_seed), _knob_miss(round_seed + 1)]
+                outcomes: list = [None, None]
+
+                def submit(slot, spec):
+                    try:
+                        outcomes[slot] = _submit(service.port, spec,
+                                                 timeout=60.0)
+                    except Exception as exc:  # the socket timed out
+                        outcomes[slot] = exc
+
+                threads = [threading.Thread(target=submit, args=(i, spec))
+                           for i, spec in enumerate(specs)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=90.0)
+                assert not any(t.is_alive() for t in threads)
+                for spec, outcome in zip(specs, outcomes):
+                    assert isinstance(outcome, tuple), outcome
+                    status, events, _ = outcome
+                    assert status == 200
+                    assert events[0]["enqueued"] == 1
+                    assert events[-1]["state"] == "done"
+                    assert len([e for e in events
+                                if e["event"] == "cell"]) == 3
+                    status, result, _ = _request(
+                        service.port, "GET",
+                        f"/sweeps/{events[0]['digest']}/result")
+                    assert _dump(result) == _dump(
+                        sweep_result_to_dict(_run_serial(spec)))
+        finally:
+            service.stop_background()
+
+
 class TestBackpressure:
     def test_over_budget_submission_sheds_with_429(self, tmp_path):
         service = _start(tmp_path / "root", max_in_flight_cells=1,

@@ -12,9 +12,12 @@ import json
 
 import pytest
 
+from repro.config.faults import FaultConfig
 from repro.config.hyperparams import GriffinHyperParams
 from repro.config.presets import tiny_system
 from repro.harness.io import result_to_dict
+from repro.harness.results import FailedRun
+from repro.harness.runner import run_workload
 from repro.harness.sweep import (
     Sweep,
     cell_fingerprint,
@@ -47,6 +50,54 @@ def _dump(result) -> list:
     ]
 
 
+def _dump_failures(result) -> list:
+    return [
+        (str(key), failure.error_type, failure.message)
+        for key, failure in result.failures.items()
+    ]
+
+
+# Knob variants no baseline cell reads, crossed with a fault plan whose
+# retries push every cell past the event budget below: baseline dedupes
+# to one success and one shared failure, griffin forks both.
+_DEDUPE_HYPERS = {
+    "default": _BASE,
+    "half_round": _BASE.with_overrides(max_pages_per_round=96),
+    "strict": _BASE.with_overrides(lambda_d=3.0),
+}
+_DEDUPE_FAULTS = {"none": None,
+                  "drops": FaultConfig(migration_drop_rate=0.5)}
+_DEDUPE_BUDGET = 2_100
+
+
+def _dedupe_sweep() -> Sweep:
+    return Sweep(workloads=["MT"], policies=["baseline", "griffin"],
+                 configs={"tiny": tiny_system(2)},
+                 hypers=_DEDUPE_HYPERS, faults=_DEDUPE_FAULTS)
+
+
+def _independent_runs() -> tuple[list, list]:
+    """The dedupe grid run cell by cell, outside any sweep executor."""
+    points, failures = [], []
+    grid = _dedupe_sweep()._grid(0.008, 5, _DEDUPE_BUDGET, 1_000_000)
+    for key, (workload, policy, config, hyper, scale, seed, fault,
+              max_events, stall_threshold, _checks, _bundle) in grid:
+        try:
+            run = run_workload(
+                workload, policy, config=config, hyper=hyper, scale=scale,
+                seed=seed, faults=fault, max_events=max_events,
+                stall_threshold=stall_threshold,
+            )
+        except Exception as exc:
+            failed = FailedRun.from_exception(workload, policy, exc)
+            failures.append((str(key), failed.error_type, failed.message))
+        else:
+            points.append(
+                (str(key), json.dumps(result_to_dict(run), sort_keys=True))
+            )
+    return points, failures
+
+
 class TestExecutionParity:
     @pytest.fixture(scope="class")
     def serial(self):
@@ -72,6 +123,62 @@ class TestExecutionParity:
         # fields -> one shared prefix for all four cells.
         assert serial.fork_groups == 1
         assert serial.prefix_events > 0
+
+    @pytest.mark.parametrize("mode", ["serial", "workers", "queue"])
+    def test_deduped_grid_matches_every_cell_run_alone(self, mode, tmp_path):
+        """Shared cells land their identity's outcome, on every executor.
+
+        Baseline's three knob variants collapse to one run per fault
+        plan; the result (successes and failures alike, same key order)
+        equals the grid run with ``fork=False`` and each cell run alone.
+        """
+        kwargs = {"serial": {}, "workers": {"workers": 2},
+                  "queue": {"queue_dir": tmp_path / "q"}}[mode]
+        deduped = _dedupe_sweep().run(
+            scale=0.008, seed=5, max_events_per_run=_DEDUPE_BUDGET, **kwargs
+        )
+        cold = _dedupe_sweep().run(
+            scale=0.008, seed=5, max_events_per_run=_DEDUPE_BUDGET,
+            fork=False,
+        )
+        points, failures = _independent_runs()
+        assert _dump(deduped) == _dump(cold)
+        assert _dump_failures(deduped) == _dump_failures(cold)
+        assert sorted(_dump(deduped)) == sorted(points)
+        assert sorted(_dump_failures(deduped)) == sorted(failures)
+        assert len(deduped.points) == 6 and len(deduped.failures) == 6
+        # 2 baseline identities answer 6 cells; griffin's 6 all run.
+        assert deduped.shared_cells == 4
+        if mode != "queue":
+            assert deduped.forked_cells + deduped.cold_cells == 8
+        runs = [id(run) for run in deduped.points.values()]
+        assert len(set(runs)) == len(runs)  # independent copies
+
+
+class TestForkBudget:
+    def test_forked_budget_failure_matches_cold(self):
+        """A forked cell that exhausts ``max_events`` fails exactly like
+        its cold run: the message quotes the full budget, not what was
+        left after the shared prefix."""
+        budget = 1_990  # past the prefix, short of the ~2k-event run
+
+        def run(**kwargs):
+            sweep = Sweep(workloads=["MT"],
+                          policies=["griffin", "griffin_flush"],
+                          configs={"tiny": tiny_system(2)})
+            return sweep.run(scale=0.008, seed=5,
+                             max_events_per_run=budget, **kwargs)
+
+        forked, batched, cold = run(), run(batch=True), run(fork=False)
+        assert forked.forked_cells == 2 and forked.prefix_events > 0
+        assert batched.forked_cells == 2
+        assert cold.cold_cells == 2
+        assert len(cold.failures) == 2
+        assert _dump_failures(forked) == _dump_failures(cold)
+        assert _dump_failures(batched) == _dump_failures(cold)
+        for failure in cold.failures.values():
+            assert failure.error_type == "SimulationStall"
+            assert f"({budget} events)" in failure.message
 
 
 class TestBlastRadius:
@@ -175,6 +282,44 @@ class TestFingerprints:
             self._args(hyper=_BASE.with_overrides(t_ac=999))
         )
         assert early != base  # t_ac feeds warm-up -> different prefix
+
+    def test_unread_hyperparameters_share_an_identity(self):
+        baseline = self._args(policy="baseline")
+        unread = self._args(
+            policy="baseline",
+            hyper=_BASE.with_overrides(lambda_d=9.9, t_ac=999, n_ptw=2,
+                                       counter_table_entries=7,
+                                       page_id_bits=40),
+        )
+        assert cell_fingerprint(unread) == cell_fingerprint(baseline)
+        # griffin reads every one of those knobs but page_id_bits.
+        assert cell_fingerprint(
+            self._args(hyper=_BASE.with_overrides(page_id_bits=40))
+        ) == cell_fingerprint(self._args())
+        assert cell_fingerprint(
+            self._args(hyper=_BASE.with_overrides(t_ac=999))
+        ) != cell_fingerprint(self._args())
+        # dftm_only batches nothing but reads no Griffin period knob.
+        dftm = self._args(policy="dftm_only")
+        assert cell_fingerprint(dftm) == cell_fingerprint(self._args(
+            policy="dftm_only", hyper=_BASE.with_overrides(n_ptw=3)
+        ))
+        assert cell_fingerprint(dftm) != cell_fingerprint(baseline)
+
+    def test_forks_accept_what_group_fingerprints_mask(self):
+        """A group may hold cells that differ in unread fields, so a fork
+        must adopt such a variant instead of refusing it."""
+        from repro.core.policies import get_policy
+        from repro.system.machine import variant_mismatches
+
+        early = _BASE.with_overrides(t_ac=999, migration_period=12_345)
+        assert group_fingerprint(self._args(policy="baseline")) == \
+            group_fingerprint(self._args(policy="baseline", hyper=early))
+        baseline, griffin = get_policy("baseline"), get_policy("griffin")
+        assert variant_mismatches(baseline, _BASE, baseline, early) == []
+        assert variant_mismatches(griffin, _BASE, griffin, early) == [
+            "hyper.t_ac", "hyper.migration_period",
+        ]
 
     def test_ungroupable_cells(self):
         workload = get_workload("MT", scale=0.008, seed=5,

@@ -73,6 +73,15 @@ def test_n_ptw_must_be_positive():
         GriffinHyperParams(n_ptw=0)
 
 
+def test_unbuildable_counter_tables_rejected():
+    # Caught up front: a Machine would fail to build its counter tables.
+    with pytest.raises(ValueError, match="counter_bits"):
+        GriffinHyperParams(counter_bits=-1)
+    with pytest.raises(ValueError, match="counter_table_entries"):
+        GriffinHyperParams(counter_table_entries=0)
+    assert GriffinHyperParams(counter_bits=0).counter_max == 0
+
+
 def test_calibrated_keeps_ratio_thresholds():
     c = GriffinHyperParams.calibrated()
     assert c.lambda_d == 2.0
