@@ -39,6 +39,8 @@ first, which is exact, and then run the original pure-Python logic.
 
 from __future__ import annotations
 
+from itertools import filterfalse
+
 import numpy as np
 
 from repro.config.hyperparams import GriffinHyperParams
@@ -82,20 +84,6 @@ class DynamicPageClassifier:
             new[: old.shape[0]] = old
             setattr(self, name, new)
 
-    def _alloc_row(self, page: int) -> int:
-        free = self._free
-        if free:
-            row = free.pop()
-        else:
-            row = self._used
-            if row >= self._F.shape[0]:
-                self._grow()
-            self._used = row + 1
-        self._F[row] = 0.0
-        self._page_of[row] = page
-        self._index[page] = row
-        return row
-
     # ------------------------------------------------------------------
     # Filtering
     # ------------------------------------------------------------------
@@ -119,13 +107,24 @@ class DynamicPageClassifier:
         # Allocate rows for unseen pages in the same order the scalar
         # version inserted them (set of known ∪ reported pages): dict
         # iteration order feeds downstream capped scans, so it is pinned.
+        # Recycled rows come off the end of _free first, then fresh rows
+        # from _used; both are already zero in _F (forgotten rows are
+        # zeroed below, rows past _used were never written).
         index = self._index
         touched = set(index)
         for counts in counts_per_gpu:
             touched.update(counts)
-        for page in touched:
-            if page not in index:
-                self._alloc_row(page)
+        new_pages = list(filterfalse(index.__contains__, touched))
+        if new_pages:
+            free = self._free
+            rows = [free.pop() for _ in range(min(len(new_pages), len(free)))]
+            used = self._used
+            self._used = end = used + len(new_pages) - len(rows)
+            rows.extend(range(used, end))
+            while end > self._F.shape[0]:
+                self._grow()
+            self._page_of[rows] = new_pages
+            index.update(zip(new_pages, rows))
         used = self._used
         if not used:
             return
@@ -142,10 +141,14 @@ class DynamicPageClassifier:
         F = self._F
         Fv = F[:used]
         F2 = keep * Fv + alpha * Rv
-        self._T[:used] = F2 - Fv
+        np.subtract(F2, Fv, out=self._T[:used])
         Fv[:] = F2
-        top = F2.max(axis=1)
-        self._top[:used] = top
+        # Row max as a running column-wise maximum: exact, and much
+        # cheaper than a reduction along the short GPU axis.
+        top = self._top[:used]
+        np.copyto(top, F2[:, 0])
+        for g in range(1, self.num_gpus):
+            np.maximum(top, F2[:, g], out=top)
 
         # Forget pages whose filter state decayed to noise (max <= eps,
         # exactly the old per-GPU ``new > eps`` aliveness test).
@@ -154,12 +157,11 @@ class DynamicPageClassifier:
             (top <= _FORGET_EPSILON) & (page_of[:used] >= 0)
         )[0]
         if dead_rows.size:
-            free = self._free
-            for row in dead_rows.tolist():
-                del index[int(page_of[row])]
-                page_of[row] = -1
-                free.append(row)
-                F[row] = 0.0
+            for page in page_of[dead_rows].tolist():
+                del index[page]
+            page_of[dead_rows] = -1
+            F[dead_rows] = 0.0
+            self._free.extend(dead_rows.tolist())
 
     def filtered_counts(self, page: int) -> list[float]:
         """Current EWMA counts per GPU for ``page`` (zeros if unknown)."""
@@ -268,7 +270,7 @@ class DynamicPageClassifier:
         cc = self._cc
         id_streaming = id(PageClass.STREAMING)
         F = self._F
-        top = self._top
+        top = self._top[: self._used].tolist()
         for page, row in self._index.items():
             location = location_of(page)
             if location < 0 or location >= num_gpus:

@@ -199,9 +199,7 @@ class ComputeUnit(Component):
         self._issue_fn(txn, self._completion)
 
     def _txn_done(self, txn: MemoryTransaction, complete_time: float) -> None:
-        # Full completion body lives here (one event-callback frame per
-        # transaction); _on_txn_complete remains as the named entry point
-        # for callers holding a cursor.
+        # Full completion body in one event-callback frame per transaction.
         cursor = self._cursor_for.pop(txn.txn_id)
         txn.complete_time = self.engine._now
         del self.outstanding[txn.txn_id]
@@ -243,42 +241,6 @@ class ComputeUnit(Component):
         compares in-flight addresses at page granularity)."""
         page = txn.page
         self._outstanding_by_page[page] = self._outstanding_by_page.get(page, 0) + 1
-
-    def _on_txn_complete(self, txn: MemoryTransaction, cursor: _WavefrontCursor) -> None:
-        txn.complete_time = self.engine._now
-        del self.outstanding[txn.txn_id]
-        page = txn.page
-        if page >= 0:
-            count = self._outstanding_by_page.get(page, 0) - 1
-            if count > 0:
-                self._outstanding_by_page[page] = count
-            else:
-                self._outstanding_by_page.pop(page, None)
-        stats = self.stats
-        try:
-            stats["transactions_completed"] += 1
-        except KeyError:
-            stats["transactions_completed"] = 1
-
-        if self._drain_pending is not None:
-            self._check_drain_progress(page)
-        if self._flush_callback is not None:
-            self._check_flush_progress()
-
-        # A slot freed: release a blocked wavefront if issue is allowed.
-        if not self.issue_paused and self._ready:
-            if len(self.outstanding) < self._max_inflight:
-                self._issue(self._ready.popleft())
-
-        # Advance this wavefront's chain.
-        cursor.index += 1
-        if cursor.index >= len(cursor.accesses):
-            self._finish_wavefront(cursor)
-            return
-        delay = cursor.accesses[cursor.index][0]
-        if self.throttle_fn is not None:
-            delay = delay * self.throttle_fn(self.engine._now)
-        self.engine.post(delay, self._ready_to_issue, cursor)
 
     # ------------------------------------------------------------------
     # ACUD drain
