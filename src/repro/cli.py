@@ -26,6 +26,7 @@ from repro.harness import export as ex_csv
 from repro.harness.runner import run_workload
 from repro.metrics.chart import bar_chart
 from repro.metrics.report import format_table
+from repro.sim.backends import ENGINE_BACKENDS
 from repro.workloads.registry import list_workloads
 
 # name -> (experiment fn, renderer, csv exporter or None)
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--full-size", action="store_true",
                        help="use the paper's full Table II GPU (slower)")
         p.add_argument("--engine-backend",
-                       choices=["heap", "ring", "compiled"],
+                       choices=ENGINE_BACKENDS,
                        default="heap",
                        help="event-core backend (results are byte-identical "
                             "on all of them; 'compiled' needs the optional "
@@ -343,11 +344,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--no-save", action="store_true",
                          help="measure and print without writing a file")
     bench_p.add_argument("--engine-backend",
-                         choices=["heap", "ring", "compiled"],
+                         choices=ENGINE_BACKENDS,
                          default="heap",
                          help="event-core backend every case runs on (the "
-                              "ring_vs_heap and compiled_vs_python cases "
-                              "always measure both of their backends)")
+                              "compiled_vs_python case always measures both "
+                              "of its backends)")
     return parser
 
 
@@ -754,7 +755,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     resolve_backend(args.engine_backend)
     if args.engine_backend != "heap":
         # Suite cases build their own configs; the env override reaches
-        # them all (and any subprocesses the batch baseline spawns).
+        # them all.
         os.environ[BACKEND_ENV] = args.engine_backend
 
     report = run_bench(

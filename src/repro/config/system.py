@@ -239,11 +239,9 @@ class SimConfig:
     Attributes:
         engine_backend: Event-core implementation — ``"heap"`` is the
             pure-Python heap + FIFO-lane queue (the parity oracle and
-            default); ``"ring"`` is the numpy structured-array event ring
-            with a dense handler table (:mod:`repro.sim.ring`);
-            ``"compiled"`` is the optional C extension event core
-            (:mod:`repro.sim.compiled`, only selectable when the
-            ``repro.sim._ckernel`` extension is built).  All fire events
+            default); ``"compiled"`` is the optional C extension event
+            core (:mod:`repro.sim.compiled`, only selectable when the
+            ``repro.sim._ckernel`` extension is built).  Both fire events
             in identical ``(time, priority, seq)`` order; the
             golden/parity suites pin them byte-for-byte.  The
             ``REPRO_ENGINE_BACKEND`` environment variable overrides this
@@ -313,7 +311,7 @@ class SystemConfig:
 
     def with_engine_backend(self, backend: str) -> "SystemConfig":
         """Return a copy selecting an event-core backend
-        ("heap" | "ring" | "compiled")."""
+        ("heap" | "compiled")."""
         return replace(self, sim=SimConfig(engine_backend=backend))
 
     def with_overrides(self, **kwargs: object) -> "SystemConfig":

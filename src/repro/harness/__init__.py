@@ -1,6 +1,5 @@
 """Experiment harness: run workloads, compare policies, regenerate figures."""
 
-from repro.harness.batch import BatchRunner, run_replicas
 from repro.harness.io import load_result, save_result
 from repro.harness.queue import QueueSettings, QueueStats, SweepQueue
 from repro.harness.results import FailedRun, RunResult
@@ -16,8 +15,6 @@ __all__ = [
     "compare_policies",
     "save_result",
     "load_result",
-    "BatchRunner",
-    "run_replicas",
     "Sweep",
     "SweepKey",
     "SweepResult",

@@ -723,7 +723,6 @@ class Sweep:
             chunk_size: int = 0, fork: bool = True,
             cache_dir=None, resume: bool = False,
             checks=None, bundle_dir=None,
-            batch: bool = False,
             cell_timeout: Optional[float] = None,
             queue_dir=None, lease_duration: float = 30.0,
             max_attempts: int = 3, backoff_base: float = 1.0,
@@ -763,16 +762,6 @@ class Sweep:
             bundle_dir: Crash-bundle directory forwarded to every
                 checked cell; each :class:`FailedRun` then records its
                 ``bundle_path`` (also shown by :meth:`SweepResult.failure_table`).
-            batch: Advance the grid's independent cells through one
-                in-process :class:`repro.harness.batch.BatchRunner`
-                instead of running them one after another — fork-group
-                members all fork up front and interleave; unchecked cold
-                cells likewise.  Results are byte-identical to ``batch=
-                False`` (the parity suite pins this); checked cells fall
-                back to the staged cold path.  Mutually exclusive with
-                ``workers > 1`` (process parallelism already amortizes
-                the same overheads).
-
             cell_timeout: Per-cell wall-clock budget in seconds.  Each
                 cell then runs cold in its own supervised child process
                 that is SIGKILLed past the deadline — the backstop for
@@ -780,8 +769,7 @@ class Sweep:
                 and stall watchdog cannot see.  A timed-out cell lands
                 in ``failures`` as ``CellTimeout``; the rest of the grid
                 completes.  Results stay byte-identical (cold == forked
-                is pinned by the parity suite).  Incompatible with
-                ``batch``.
+                is pinned by the parity suite).
             queue_dir: Execute through a fault-tolerant on-disk
                 :class:`repro.harness.queue.SweepQueue` instead of the
                 in-process pool.  The grid is materialized as sqlite
@@ -793,9 +781,9 @@ class Sweep:
                 lease expiry (see docs/resilience.md).  ``progress`` is
                 polled from queue counters, so the ``key`` argument is
                 None in this mode.  Incompatible with ``cache_dir`` /
-                ``resume`` / ``batch`` (the queue is itself the resume
-                mechanism: re-running with the same ``queue_dir`` picks
-                up where the grid left off).
+                ``resume`` (the queue is itself the resume mechanism:
+                re-running with the same ``queue_dir`` picks up where
+                the grid left off).
             lease_duration / max_attempts / backoff_base / backoff_cap:
                 Queue-mode recovery policy — how long a worker may hold
                 a cell without heartbeating, how many executions a cell
@@ -808,18 +796,6 @@ class Sweep:
         input) is retried cell-by-cell in the parent, so only the truly
         bad cells fail.
         """
-        if batch and workers > 1:
-            raise ValueError(
-                "batch=True drives cells in-process; combine it with "
-                "workers=1 (process parallelism already amortizes the "
-                "same per-run overheads)"
-            )
-        if batch and (cell_timeout is not None or queue_dir is not None):
-            raise ValueError(
-                "batch=True interleaves cells in one process; it cannot "
-                "be combined with cell_timeout or queue_dir (both need "
-                "per-cell process isolation)"
-            )
         if queue_dir is not None:
             if cache_dir is not None or resume:
                 raise ValueError(
@@ -888,27 +864,12 @@ class Sweep:
 
         # --- execute
         if workers <= 1:
-            run_group = (
-                self._run_group_batched if batch else self._run_group_serial
-            )
             for group_fp, members in groups:
-                run_group(grid, group_fp, members, cache, result, land)
-            if batch:
-                # Checked cells need the staged cold path (the sanitizer
-                # drives the machine itself); everything else batches.
-                plain = [i for i in cold if grid[i][1][9] is None]
-                staged = [i for i in cold if grid[i][1][9] is not None]
-                outcomes_b = _run_cold_batch([grid[i][1] for i in plain])
-                for index, outcome in zip(plain, outcomes_b):
-                    land(index, outcome)
-                    result.cold_cells += 1
-                for index in staged:
-                    land(index, _run_point_safe(grid[index][1]))
-                    result.cold_cells += 1
-            else:
-                for index in cold:
-                    land(index, _run_point_safe(grid[index][1]))
-                    result.cold_cells += 1
+                self._run_group_serial(grid, group_fp, members, cache,
+                                       result, land)
+            for index in cold:
+                land(index, _run_point_safe(grid[index][1]))
+                result.cold_cells += 1
         else:
             self._run_parallel(
                 grid, groups, cold, workers, chunk_size, len(pending),
@@ -948,23 +909,6 @@ class Sweep:
         result.prefix_events += snap.events_executed
         for index in members:
             land(index, _finish_fork_safe(snap, meta, _fork_cell(grid[index][1])))
-            result.forked_cells += 1
-
-    def _run_group_batched(self, grid, group_fp, members, cache,
-                           result, land) -> None:
-        """Prefix once, fork every member, drive the forks as one batch."""
-        try:
-            snap, meta = _prepare_group(grid[members[0]][1], cache, group_fp)
-        except Exception:
-            for index in members:
-                land(index, _run_point_safe(grid[index][1]))
-                result.cold_cells += 1
-            return
-        result.fork_groups += 1
-        result.prefix_events += snap.events_executed
-        cells = [_fork_cell(grid[index][1]) for index in members]
-        for index, outcome in zip(members, _finish_fork_batch(snap, meta, cells)):
-            land(index, outcome)
             result.forked_cells += 1
 
     def _run_parallel(self, grid, groups, cold, workers, chunk_size,
@@ -1227,76 +1171,6 @@ def _run_fork_chunk(snap, meta, cells: list) -> list:
     every cell in the chunk forks from the worker's in-memory copy.
     """
     return [_finish_fork_safe(snap, meta, cell) for cell in cells]
-
-
-def _finish_fork_batch(snap, meta: _WorkloadMeta, cells: list) -> list:
-    """Fork every cell off one snapshot and drive them as one batch.
-
-    Outcome-per-cell (result or exception), like :func:`_finish_fork_safe`
-    over the list — and byte-identical to it, since batch members never
-    interact.
-    """
-    from repro.harness.batch import BatchRunner
-
-    runner = BatchRunner()
-    members: list = []
-    for cell in cells:
-        policy, hyper, max_events, stall_threshold = cell
-        try:
-            machine = snap.fork()
-            machine.adopt_variant(policy, hyper)
-            members.append(
-                runner.add(machine, meta, max_events, stall_threshold)
-            )
-        except Exception as exc:
-            members.append(exc)
-    runner.drive()
-    out = []
-    for member in members:
-        if isinstance(member, Exception):
-            out.append(member)
-        elif member.error is not None:
-            out.append(member.error)
-        else:
-            out.append(harvest_result(member.machine, meta))
-    return out
-
-
-def _run_cold_batch(args_list: list) -> list:
-    """Build and start every unchecked cold cell, drive them as one batch.
-
-    Outcome-per-cell, byte-identical to mapping :func:`_run_point_safe`.
-    Cells that fail during construction (unknown workload/policy, page
-    size mismatch) fail with the cold path's own error, before the batch
-    starts.
-    """
-    from repro.harness.batch import BatchRunner
-
-    runner = BatchRunner()
-    members: list = []
-    for args in args_list:
-        (workload, policy, config, hyper, scale, seed,
-         fault, max_events, stall_threshold, _checks, _bundle_dir) = args
-        try:
-            machine, built, kernels = prepare_run(
-                workload, policy=policy, config=config, hyper=hyper,
-                scale=scale, seed=seed, faults=fault,
-            )
-            machine.start(kernels)
-            members.append(runner.add(machine, built, max_events,
-                                      stall_threshold))
-        except Exception as exc:
-            members.append(exc)
-    runner.drive()
-    out = []
-    for member in members:
-        if isinstance(member, Exception):
-            out.append(member)
-        elif member.error is not None:
-            out.append(member.error)
-        else:
-            out.append(harvest_result(member.machine, member.workload))
-    return out
 
 
 def _run_point_safe(args):

@@ -31,6 +31,8 @@ from repro.perf.suite import BenchSuite, bench_suite
 # v2 added "sweep" cases and the per-case ``extra`` dict.
 # v3 added per-case ``median_wall_seconds`` alongside best-of-N, plus the
 # "ring" (heap-vs-ring event core) and "batch" (batched replicas) kinds.
+# Both measured code that has since been deleted; reports carrying them
+# still load and render, as plain table rows.
 # v4 added the "compiled" kind (heap vs the C event-core extension) and
 # the optional report-level ``comparison`` block the CLI embeds when a
 # baseline diff ran.  Older reports stay loadable: new fields default.
@@ -62,7 +64,7 @@ class CaseResult:
     """Measurements for one benchmark case."""
 
     name: str
-    kind: str  # "micro" | "e2e" | "sweep" | "ring" | "batch" | "compiled"
+    kind: str  # "micro" | "e2e" | "sweep" | "compiled" (+ "ring"/"batch" in v3/v4)
     wall_seconds: float  # best-of-N (throughput figures use this)
     work: int  # engine events (e2e), ops (micro), or grid cells (sweep)
     work_unit: str
@@ -185,29 +187,6 @@ class BenchReport:
             for c in self.cases
             if c.kind == "sweep"
         ]
-        ring_lines = [
-            (
-                f"ring '{c.name}': {c.extra.get('ring_speedup', 0.0):.2f}x "
-                f"events/sec ring vs heap "
-                f"({c.extra.get('ring_events_per_sec', 0.0):,.0f} vs "
-                f"{c.extra.get('heap_events_per_sec', 0.0):,.0f}), "
-                f"results identical: "
-                f"{c.extra.get('results_identical', False)}"
-            )
-            for c in self.cases
-            if c.kind == "ring"
-        ]
-        batch_lines = [
-            (
-                f"batch '{c.name}': {c.extra.get('batch_speedup', 0.0):.2f}x "
-                f"replicas/sec batched vs process-per-replica "
-                f"({c.extra.get('batched_replicas_per_sec', 0.0):.2f} vs "
-                f"{c.extra.get('proc_replicas_per_sec', 0.0):.2f}, "
-                f"{c.extra.get('replicas', 0)} replicas)"
-            )
-            for c in self.cases
-            if c.kind == "batch"
-        ]
         compiled_lines = [
             (
                 f"compiled '{c.name}': extension not built, "
@@ -228,7 +207,7 @@ class BenchReport:
         ]
         return "\n".join(
             [table, extra]
-            + sweep_lines + ring_lines + batch_lines + compiled_lines
+            + sweep_lines + compiled_lines
         )
 
 
@@ -330,80 +309,12 @@ def run_bench(
         if progress is not None:
             progress(f"sweep:{case.name}")
         report.cases.append(_measure_sweep(case, repeats))
-    for case in suite.rings:
-        if progress is not None:
-            progress(f"ring:{case.name}")
-        report.cases.append(_measure_ring(case, repeats))
-    for case in suite.batches:
-        if progress is not None:
-            progress(f"batch:{case.name}")
-        report.cases.append(_measure_batch(case, repeats))
     for case in suite.compiled:
         if progress is not None:
             progress(f"compiled:{case.name}")
         report.cases.append(_measure_compiled(case, repeats))
     report.peak_rss_kb = _peak_rss_kb()
     return report
-
-
-def _measure_ring(case, repeats: int) -> CaseResult:
-    """Time one pinned e2e cell under the heap and ring event cores.
-
-    The headline figure (``per_sec``) is the ring backend's events/sec;
-    ``extra`` records the heap baseline, the ring/heap speedup, and
-    whether both backends produced byte-identical result dicts — the
-    parity contract the goldens pin, re-checked here on live runs.
-
-    Backend selection is pinned per leg by the config: the
-    ``REPRO_ENGINE_BACKEND`` override is suspended for the duration so a
-    ring-backend CI bench run cannot turn the heap leg into a second
-    ring leg (which would degenerate the comparison to 1.00x).
-    """
-    import os
-
-    from repro.harness.io import result_to_dict
-    from repro.harness.runner import run_workload
-    from repro.sim.ring import BACKEND_ENV
-
-    heap_config = case.build_config()
-    ring_config = heap_config.with_engine_backend("ring")
-    results = {}
-
-    def one_run(config, backend) -> int:
-        result = run_workload(
-            case.workload, case.policy, config=config,
-            scale=case.scale, seed=case.seed,
-        )
-        results[backend] = result_to_dict(result)
-        return result.events_executed
-
-    env_override = os.environ.pop(BACKEND_ENV, None)
-    try:
-        heap_wall, heap_med, work, _ = _measure(
-            lambda: one_run(heap_config, "heap"), repeats
-        )
-        ring_wall, ring_med, _, alloc = _measure(
-            lambda: one_run(ring_config, "ring"), repeats
-        )
-    finally:
-        if env_override is not None:
-            os.environ[BACKEND_ENV] = env_override
-    heap_per_sec = work / heap_wall if heap_wall > 0 else 0.0
-    ring_per_sec = work / ring_wall if ring_wall > 0 else 0.0
-    return CaseResult(
-        name=case.name, kind="ring", wall_seconds=ring_wall, work=work,
-        work_unit="events", per_sec=ring_per_sec,
-        alloc_blocks_delta=alloc, repeats=repeats,
-        median_wall_seconds=ring_med,
-        extra={
-            "heap_wall_seconds": heap_wall,
-            "heap_median_wall_seconds": heap_med,
-            "heap_events_per_sec": heap_per_sec,
-            "ring_events_per_sec": ring_per_sec,
-            "ring_speedup": heap_wall / ring_wall if ring_wall > 0 else 0.0,
-            "results_identical": results["heap"] == results["ring"],
-        },
-    )
 
 
 def _measure_compiled(case, repeats: int) -> CaseResult:
@@ -420,9 +331,9 @@ def _measure_compiled(case, repeats: int) -> CaseResult:
     ``extra["compiled_available"] = False`` instead of erroring, so an
     extension-less bench run still produces a complete report.
 
-    As with the ring case, the ``REPRO_ENGINE_BACKEND`` override is
-    suspended during measurement so a compiled-backend CI bench run
-    cannot turn the heap leg into a second compiled leg.
+    The ``REPRO_ENGINE_BACKEND`` override is suspended during
+    measurement so a compiled-backend CI bench run cannot turn the heap
+    leg into a second compiled leg.
     """
     import os
 
@@ -484,77 +395,6 @@ def _measure_compiled(case, repeats: int) -> CaseResult:
                 heap_wall / comp_wall if comp_wall > 0 else 0.0
             ),
             "results_identical": results["heap"] == results["compiled"],
-        },
-    )
-
-
-def _measure_batch(case, repeats: int) -> CaseResult:
-    """Time K seed replicas batched in-process vs process-per-replica.
-
-    The headline figure (``per_sec``) is batched replicas/sec; ``extra``
-    records the process-per-replica baseline (one fresh interpreter per
-    seed, each importing the package and running the same cell — the
-    cost campaign scripts pay today) and the resulting speedup.
-    """
-    import subprocess
-
-    from repro.harness.batch import run_replicas
-
-    config = case.build_config()
-    seeds = list(case.seeds)
-    replicas = len(seeds)
-
-    def batched() -> int:
-        out = run_replicas(
-            case.workload, policy=case.policy, config=config,
-            scale=case.scale, seeds=seeds,
-        )
-        for item in out:
-            if isinstance(item, BaseException):
-                raise item
-        return replicas
-
-    child_template = (
-        "import sys\n"
-        "sys.path[:0] = {paths!r}\n"
-        "from repro.config.presets import small_system, tiny_system\n"
-        "from repro.harness.runner import run_workload\n"
-        "config = {factory}({gpus})\n"
-        "run_workload({workload!r}, {policy!r}, config=config, "
-        "scale={scale!r}, seed={seed!r})\n"
-    )
-
-    def per_process() -> int:
-        factory = {"small": "small_system", "tiny": "tiny_system"}
-        for seed in seeds:
-            script = child_template.format(
-                paths=list(sys.path),
-                factory=factory[case.config_name],
-                gpus=case.gpus, workload=case.workload,
-                policy=case.policy, scale=case.scale, seed=seed,
-            )
-            subprocess.run(
-                [sys.executable, "-c", script], check=True,
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-            )
-        return replicas
-
-    batch_wall, batch_med, work, alloc = _measure(batched, repeats)
-    proc_wall, proc_med, _, _ = _measure(per_process, repeats)
-    batch_per_sec = replicas / batch_wall if batch_wall > 0 else 0.0
-    proc_per_sec = replicas / proc_wall if proc_wall > 0 else 0.0
-    return CaseResult(
-        name=case.name, kind="batch", wall_seconds=batch_wall, work=work,
-        work_unit="replicas", per_sec=batch_per_sec,
-        alloc_blocks_delta=alloc, repeats=repeats,
-        median_wall_seconds=batch_med,
-        extra={
-            "replicas": replicas,
-            "proc_wall_seconds": proc_wall,
-            "proc_median_wall_seconds": proc_med,
-            "proc_replicas_per_sec": proc_per_sec,
-            "batched_replicas_per_sec": batch_per_sec,
-            "batch_speedup": proc_wall / batch_wall if batch_wall > 0 else 0.0,
         },
     )
 

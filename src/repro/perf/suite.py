@@ -111,38 +111,13 @@ class SweepCase:
 
 
 @dataclass(frozen=True)
-class RingCase:
-    """One pinned e2e cell timed under both event-core backends.
-
-    The same (workload, policy, config, scale, seed) runs once with the
-    pure-Python heap queue and once with the numpy ring backend; the case
-    reports both throughputs, the ring/heap speedup, and whether the two
-    result dicts came out identical (they must — the heap queue is the
-    parity oracle for the ring).
-    """
-
-    name: str
-    workload: str
-    policy: str
-    gpus: int
-    scale: float
-    seed: int
-    config_name: str = "small"  # "small" | "tiny"
-
-    def build_config(self):
-        factory = {"small": small_system, "tiny": tiny_system}[self.config_name]
-        return factory(self.gpus)
-
-
-@dataclass(frozen=True)
 class CompiledCase:
     """One pinned e2e cell timed heap-vs-compiled (the C event core).
 
-    Same shape as :class:`RingCase`: the identical (workload, policy,
-    config, scale, seed) runs once on the pure-Python heap queue and once
-    on the compiled C extension backend; the case reports both
-    throughputs, the compiled/heap speedup, and whether the two result
-    dicts came out identical.  On hosts where ``repro.sim._ckernel`` is
+    The identical (workload, policy, config, scale, seed) runs once on
+    the pure-Python heap queue and once on the compiled C extension
+    backend; the case reports both throughputs, the compiled/heap
+    speedup, and whether the two result dicts came out identical.  On hosts where ``repro.sim._ckernel`` is
     not built the case degrades to a heap-only measurement flagged with
     ``compiled_available: false`` instead of failing the bench run.
     """
@@ -161,37 +136,13 @@ class CompiledCase:
 
 
 @dataclass(frozen=True)
-class BatchCase:
-    """One pinned seed-replica campaign, batched vs process-per-replica.
-
-    ``run_replicas`` advances all K seeds in one process; the baseline
-    spawns one fresh interpreter per seed (the cost campaign scripts pay
-    today).  The case reports replicas/sec for both and the speedup.
-    """
-
-    name: str
-    workload: str
-    policy: str
-    gpus: int
-    scale: float
-    seeds: tuple
-    config_name: str = "tiny"  # "small" | "tiny"
-
-    def build_config(self):
-        factory = {"small": small_system, "tiny": tiny_system}[self.config_name]
-        return factory(self.gpus)
-
-
-@dataclass(frozen=True)
 class BenchSuite:
-    """The full pinned suite (micro + e2e + sweep + ring + batch)."""
+    """The full pinned suite (micro + e2e + sweep + compiled)."""
 
     name: str
     micro: tuple = field(default_factory=tuple)
     e2e: tuple = field(default_factory=tuple)
     sweeps: tuple = field(default_factory=tuple)
-    rings: tuple = field(default_factory=tuple)
-    batches: tuple = field(default_factory=tuple)
     compiled: tuple = field(default_factory=tuple)
 
     def fingerprint_payload(self) -> dict:
@@ -228,30 +179,6 @@ class BenchSuite:
                     ],
                 }
                 for c in self.sweeps
-            ],
-            "rings": [
-                {
-                    "name": c.name,
-                    "workload": c.workload,
-                    "policy": c.policy,
-                    "gpus": c.gpus,
-                    "scale": c.scale,
-                    "seed": c.seed,
-                    "config": c.config_name,
-                }
-                for c in self.rings
-            ],
-            "batches": [
-                {
-                    "name": c.name,
-                    "workload": c.workload,
-                    "policy": c.policy,
-                    "gpus": c.gpus,
-                    "scale": c.scale,
-                    "seeds": list(c.seeds),
-                    "config": c.config_name,
-                }
-                for c in self.batches
             ],
             "compiled": [
                 {
@@ -400,30 +327,13 @@ _MT_KNOB_SWEEP = SweepCase(
     ),
 )
 
-# Heap-vs-ring on the heaviest pinned e2e cell: MT under griffin drives
-# the access path hardest, which is where the ring's inlined `_place`
-# scheduling either pays off or doesn't.
-_RING_VS_HEAP = RingCase(
-    "ring_vs_heap", "MT", "griffin", gpus=4, scale=0.015, seed=3,
-    config_name="small",
-)
-
-# Heap-vs-compiled on the same pinned cell the ring case uses, so the
-# three backends are directly comparable from one report.  The compiled
-# core's win concentrates in queue ops and the drain loop, so the
-# speedup here is an end-to-end (Amdahl-limited) figure, not the pure
-# event-chain micro number.
+# Heap-vs-compiled on the heaviest pinned e2e cell: MT under griffin
+# drives the access path hardest.  The compiled core's win concentrates
+# in queue ops and the drain loop, so the speedup here is an end-to-end
+# (Amdahl-limited) figure, not the pure event-chain micro number.
 _COMPILED_VS_PYTHON = CompiledCase(
     "compiled_vs_python", "MT", "griffin", gpus=4, scale=0.015, seed=3,
     config_name="small",
-)
-
-# Four seed replicas of a tiny MT/griffin run: small enough that the
-# per-process overhead the batched executor eliminates dominates the
-# baseline, which is exactly the campaign regime it targets.
-_BATCHED_REPLICAS = BatchCase(
-    "batched_replicas", "MT", "griffin", gpus=2, scale=0.008,
-    seeds=(5, 6, 7, 8), config_name="tiny",
 )
 
 FULL_SUITE = BenchSuite(
@@ -439,8 +349,6 @@ FULL_SUITE = BenchSuite(
                 seed=9, config_name="small", faults=True),
     ),
     sweeps=(_MT_KNOB_SWEEP,),
-    rings=(_RING_VS_HEAP,),
-    batches=(_BATCHED_REPLICAS,),
     compiled=(_COMPILED_VS_PYTHON,),
 )
 
@@ -456,11 +364,6 @@ QUICK_SUITE = BenchSuite(
                 scale=0.008, seed=9, config_name="tiny", faults=True),
     ),
     sweeps=(_MT_KNOB_SWEEP,),
-    rings=(
-        RingCase("ring_vs_heap_tiny", "MT", "griffin", gpus=2, scale=0.008,
-                 seed=5, config_name="tiny"),
-    ),
-    batches=(_BATCHED_REPLICAS,),
     compiled=(
         CompiledCase("compiled_vs_python_tiny", "MT", "griffin", gpus=2,
                      scale=0.008, seed=5, config_name="tiny"),

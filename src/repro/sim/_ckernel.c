@@ -442,53 +442,6 @@ core_push_entry(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
     Py_RETURN_NONE;
 }
 
-/* push_lane(time, callback, args, event=None): priority-0 FIFO append. */
-static PyObject *
-core_push_lane(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    centry e;
-    PyObject *event;
-    if (nargs != 3 && nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "push_lane expects (time, callback, args, event=None)");
-        return NULL;
-    }
-    event = (nargs == 4 && args[3] != Py_None) ? args[3] : NULL;
-    memset(&e, 0, sizeof(e));
-    if (time_key(args[0], &e.key) < 0)
-        return NULL;
-    e.prio = 0;
-    e.time = Py_NewRef(args[0]);
-    e.callback = Py_NewRef(args[1]);
-    e.args = Py_NewRef(args[2]);
-    if (ensure_tuple(&e.args) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    e.seq = self->seq++;
-    if (event != NULL) {
-        PyObject *seq_obj = PyLong_FromLongLong(e.seq);
-        if (seq_obj == NULL
-            || PyObject_SetAttr(event, s_seq, seq_obj) < 0) {
-            Py_XDECREF(seq_obj);
-            entry_clear(&e);
-            return NULL;
-        }
-        Py_DECREF(seq_obj);
-        if (PyObject_SetAttr(event, s_uqueue, (PyObject *)self) < 0) {
-            entry_clear(&e);
-            return NULL;
-        }
-        e.event = Py_NewRef(event);
-    }
-    if (lane_push(self, &e) < 0) {
-        entry_clear(&e);
-        return NULL;
-    }
-    self->live++;
-    Py_RETURN_NONE;
-}
-
 /* _push_handle(time, priority, callback, args, event, use_lane):
  * the tail of Engine.schedule/schedule_at — the Event was already
  * built by the Python wrapper; stamp it and store the entry. */
@@ -593,9 +546,9 @@ core_post(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 /* _sched(now, time, callback, args): the access path's clamp-to-present
- * scheduling site — a priority-0 entry at max(time, now), routed to the
- * lane when clamped and to the heap otherwise.  Equivalent to the
- * oracle's inlined `t if t > now else now` + lane/heap branch. */
+ * scheduling call — a priority-0 entry at max(time, now), routed to the
+ * lane when clamped and to the heap otherwise.  The C twin of
+ * repro.sim.event.EventQueue._sched. */
 static PyObject *
 core_sched(CoreObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1288,9 +1241,6 @@ static PyMethodDef core_methods[] = {
     {"push_entry", (PyCFunction)(void (*)(void))core_push_entry,
      METH_FASTCALL,
      "push_entry(time, priority, callback, args): heap, no handle."},
-    {"push_lane", (PyCFunction)(void (*)(void))core_push_lane,
-     METH_FASTCALL,
-     "push_lane(time, callback, args, event=None): same-cycle FIFO."},
     {"_push_handle", (PyCFunction)(void (*)(void))core_push_handle,
      METH_FASTCALL,
      "Tail of Engine.schedule/schedule_at for a pre-built Event."},

@@ -1,13 +1,11 @@
 """Engine backend registry: the seam every event core plugs into.
 
-Three interchangeable event cores implement the same queue protocol and
+Two interchangeable event cores implement the same queue protocol and
 drive the same :class:`repro.sim.engine.Engine` contract:
 
 * ``"heap"`` — the pure-Python heap + same-cycle-lane queue
   (:mod:`repro.sim.event` / :mod:`repro.sim.engine`).  Always available;
-  it is the parity oracle every other backend is pinned against.
-* ``"ring"`` — the numpy structured-array event ring with a per-timestamp
-  bucket calendar (:mod:`repro.sim.ring`).
+  it is the parity oracle the compiled backend is pinned against.
 * ``"compiled"`` — the optional C extension event core
   (:mod:`repro.sim.compiled`, backed by ``repro.sim._ckernel``).  Only
   selectable when the extension was built; the build is strictly
@@ -20,7 +18,7 @@ available backends *before* any engine or machine is constructed,
 instead of failing deep inside engine wiring.  The
 ``REPRO_ENGINE_BACKEND`` environment variable overrides the configured
 value, which is how CI replays the entire golden/parity suite on the
-ring and compiled backends with no test changes.
+compiled backend with no test changes.
 
 The queue protocol below is what a backend's queue must provide; the
 engine adds the scheduling surfaces (``schedule``/``schedule_at``/
@@ -38,12 +36,12 @@ from repro.sim.event import Event
 
 #: Environment override for the engine backend.  Lets CI run the entire
 #: golden/parity suite against an alternate backend with no test changes
-#: (the ``ring-parity`` and ``compiled-parity`` jobs set it).
+#: (the ``compiled-parity`` job sets it).
 BACKEND_ENV = "REPRO_ENGINE_BACKEND"
 
 #: Every backend name the registry knows.  ``available_backends()``
 #: filters this down to what the current host can actually construct.
-ENGINE_BACKENDS = ("heap", "ring", "compiled")
+ENGINE_BACKENDS = ("heap", "compiled")
 
 
 class ConfigError(SimulationError, ValueError):
@@ -74,9 +72,9 @@ class EventQueueProtocol(Protocol):
         callback: Callable[..., Any], args: tuple,
     ) -> None: ...
 
-    def push_lane(
-        self, time: float, callback: Callable[..., Any], args: tuple,
-        event: Optional[Event] = None,
+    def _sched(
+        self, now: float, time: float,
+        callback: Callable[..., Any], args: tuple,
     ) -> None: ...
 
     def pop(self) -> Optional[Event]: ...
@@ -133,10 +131,6 @@ def resolve_backend(configured: str = "heap") -> str:
 
 def build_engine(backend: str = "heap") -> Engine:
     """Construct the engine for a resolved backend name."""
-    if backend == "ring":
-        from repro.sim.ring import RingEngine
-
-        return RingEngine()
     if backend == "compiled":
         from repro.sim.compiled import CompiledEngine
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from heapq import heappush as _heappush
 from typing import Any, Callable, Optional
 
 _POOL_MAX = 4096
@@ -58,11 +59,8 @@ class Event:
         cancelled: When True the event is skipped at fire time.
     """
 
-    # ``_ridx`` is the ring backend's slot index (set only when the event
-    # was scheduled through an EventRing; unset slots pickle away cleanly).
     __slots__ = (
         "time", "priority", "seq", "callback", "args", "cancelled", "_queue",
-        "_ridx",
     )
 
     def __init__(
@@ -144,10 +142,9 @@ class EventQueue:
     def _note_cancel(self, event: Optional[Event] = None) -> None:
         """A live event was cancelled (called from :meth:`Event.cancel`).
 
-        ``event`` identifies the cancelled handle; the heap backend does
-        not need it (liveness is re-read from the handle at pop time) but
-        the ring backend uses it to flag the slot, so the signature is
-        shared.
+        ``event`` identifies the cancelled handle.  The heap does not need
+        it (liveness is re-read from the handle at pop time); the argument
+        keeps the signature shared with the compiled core.
         """
         self._live -= 1
         cancelled = self._cancelled + 1
@@ -201,14 +198,18 @@ class EventQueue:
         heapq.heappush(self._heap, entry)
         self._live += 1
 
-    def push_lane(self, time, callback, args, event: Optional[Event] = None) -> None:
-        """Append a priority-0 entry stamped at the current engine time.
+    def _sched(self, now, time, callback, args) -> None:
+        """Schedule a priority-0 callback at ``max(time, now)``.
 
-        Only the engine may call this, and only with ``time`` equal to its
-        clock: that invariant is what keeps the lane sorted.
+        The access path's one scheduling call (``now`` is the engine
+        clock): a clamped entry joins the same-cycle lane, a future one
+        the heap.  The compiled core's ``_sched`` is its C twin.
         """
         seq = self._seq
         self._seq = seq + 1
+        future = time > now
+        if not future:
+            time = now
         pool = self._pool
         if pool:
             entry = pool.pop()
@@ -217,13 +218,12 @@ class EventQueue:
             entry[2] = seq
             entry[3] = callback
             entry[4] = args
-            entry[5] = event
         else:
-            entry = [time, 0, seq, callback, args, event]
-        if event is not None:
-            event.seq = seq
-            event._queue = self
-        self._lane.append(entry)
+            entry = [time, 0, seq, callback, args, None]
+        if future:
+            _heappush(self._heap, entry)
+        else:
+            self._lane.append(entry)
         self._live += 1
 
     # ------------------------------------------------------------------

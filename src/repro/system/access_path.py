@@ -29,11 +29,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.interconnect.link import CPU_PORT
-from heapq import heappush as _heappush
-
 from repro.mem.access import AccessKind, MemoryTransaction
-from repro.sim.compiled import CompiledQueue
-from repro.sim.ring import EventRing
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system.machine import Machine
@@ -47,7 +43,11 @@ class MemoryAccessPath:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self._engine = machine.engine
-        self._equeue = machine.engine._queue
+        # The one scheduling call of every leg: ``_sched(now, t, cb, args)``
+        # puts a priority-0 callback at ``max(t, now)``.  Bound once, it is
+        # EventQueue._sched on the heap backend and the C core's twin on
+        # the compiled one.
+        self._sched = machine.engine._queue._sched
         self._page_shift = machine.config.page_size.bit_length() - 1
         self._l1_tlb_latency = machine.config.gpu.l1_tlb.latency
         self._l2_tlb_latency = machine.config.gpu.l2_tlb.latency
@@ -65,21 +65,6 @@ class MemoryAccessPath:
         # by gpu_id / cu_id).  The GPUs are built after this object — each
         # receives ``issue`` as its issue_fn — so the tables are filled
         # lazily on the first transaction.
-        self._push_entry = machine.engine._queue.push_entry
-        self._push_lane = machine.engine._queue.push_lane
-        # Non-None iff the machine runs the ring backend: the inlined
-        # scheduling sites below branch to ring._place instead of building
-        # heap entries (the heap internals they poke do not exist there).
-        self._ringq = self._equeue if isinstance(self._equeue, EventRing) else None
-        # Non-None iff the machine runs the compiled backend: the same
-        # sites branch to the C core's _sched/push_entry, which do the
-        # whole clamp-and-route entry build in one call.
-        self._cq = (
-            self._equeue
-            if CompiledQueue is not None
-            and isinstance(self._equeue, CompiledQueue)
-            else None
-        )
         self._se_record: list = []
         self._note: list = []
         self._l1: list = []
@@ -117,12 +102,7 @@ class MemoryAccessPath:
 
     def _at(self, time: float, callback: Callable, *args) -> None:
         """Schedule a leg at ``time`` (clamped to the present)."""
-        engine = self._engine
-        now = engine._now
-        if time <= now:
-            self._equeue.push_lane(now, callback, args)
-        else:
-            self._equeue.push_entry(time, 0, callback, args)
+        self._sched(self._engine._now, time, callback, args)
 
     # ------------------------------------------------------------------
     # Issue side (called synchronously by CUs)
@@ -171,31 +151,7 @@ class MemoryAccessPath:
             hit = l1_tlb.lookup(page)
         if hit:
             self.l1_tlb_hits += 1
-            # t > now always (positive TLB latency): straight to the heap
-            # (entry build inlined; this is the hottest schedule site).
-            ringq = self._ringq
-            if ringq is not None:
-                ringq._place(t, 0, self._local_leg, (txn, on_complete), None)
-                return
-            cq = self._cq
-            if cq is not None:
-                cq.push_entry(t, 0, self._local_leg, (txn, on_complete))
-                return
-            q = self._equeue
-            seq = q._seq
-            q._seq = seq + 1
-            pool = q._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = t
-                entry[1] = 0
-                entry[2] = seq
-                entry[3] = self._local_leg
-                entry[4] = (txn, on_complete)
-            else:
-                entry = [t, 0, seq, self._local_leg, (txn, on_complete), None]
-            _heappush(q._heap, entry)
-            q._live += 1
+            self._sched(now, t, self._local_leg, (txn, on_complete))
             return
         t += self._l2_tlb_latency
         l2_tlb = self._l2[gpu_id]
@@ -207,29 +163,7 @@ class MemoryAccessPath:
         if hit:
             self.l2_tlb_hits += 1
             l1_tlb.insert(page, gpu_id)
-            ringq = self._ringq
-            if ringq is not None:
-                ringq._place(t, 0, self._local_leg, (txn, on_complete), None)
-                return
-            cq = self._cq
-            if cq is not None:
-                cq.push_entry(t, 0, self._local_leg, (txn, on_complete))
-                return
-            q = self._equeue
-            seq = q._seq
-            q._seq = seq + 1
-            pool = q._pool
-            if pool:
-                entry = pool.pop()
-                entry[0] = t
-                entry[1] = 0
-                entry[2] = seq
-                entry[3] = self._local_leg
-                entry[4] = (txn, on_complete)
-            else:
-                entry = [t, 0, seq, self._local_leg, (txn, on_complete), None]
-            _heappush(q._heap, entry)
-            q._live += 1
+            self._sched(now, t, self._local_leg, (txn, on_complete))
             return
         self.iommu_trips += 1
         self.machine.iommu.translate(txn, t, on_complete)
@@ -269,194 +203,47 @@ class MemoryAccessPath:
     # Access legs (each fires at its own start time)
     # ------------------------------------------------------------------
 
-    def _finish(self, txn: MemoryTransaction, finish_time: float, on_complete: Callable) -> None:
-        self._at(finish_time, on_complete, txn, finish_time)
-
     def _local_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
         if txn.kind is None:
             txn.kind = AccessKind.LOCAL
         self._kc[id(txn.kind)] += 1
-        finish = self._hier[txn.gpu_id].local_access(
-            self._engine._now, txn.cu_id, txn.address, txn.is_write
-        )
         now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(finish if finish > now else now, 0, on_complete,
-                         (txn, finish), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, finish, on_complete, (txn, finish))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = finish if finish > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, finish)
-        else:
-            entry = [finish if finish > now else now, 0, seq, on_complete,
-                     (txn, finish), None]
-        if finish <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        finish = self._hier[txn.gpu_id].local_access(
+            now, txn.cu_id, txn.address, txn.is_write
+        )
+        self._sched(now, finish, on_complete, (txn, finish))
 
     def _remote_request_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
         hierarchy = self._hier[txn.gpu_id]
+        now = self._engine._now
         if not txn.is_write:
             # CARVE-style remote cache: serve remote reads locally.
-            hit = hierarchy.remote_cache_lookup(self._engine._now, txn.address)
+            hit = hierarchy.remote_cache_lookup(now, txn.address)
             if hit >= 0:
                 txn.kind = AccessKind.REMOTE_CACHE
                 self._kc[id(AccessKind.REMOTE_CACHE)] += 1
-                now = self._engine._now
-                ringq = self._ringq
-                if ringq is not None:
-                    ringq._place(hit if hit > now else now, 0, on_complete,
-                                 (txn, hit), None)
-                    return
-                cq = self._cq
-                if cq is not None:
-                    cq._sched(now, hit, on_complete, (txn, hit))
-                    return
-                q = self._equeue
-                seq = q._seq
-                q._seq = seq + 1
-                pool = q._pool
-                if pool:
-                    entry = pool.pop()
-                    entry[0] = hit if hit > now else now
-                    entry[1] = 0
-                    entry[2] = seq
-                    entry[3] = on_complete
-                    entry[4] = (txn, hit)
-                else:
-                    entry = [hit if hit > now else now, 0, seq, on_complete,
-                             (txn, hit), None]
-                if hit <= now:
-                    q._lane.append(entry)
-                else:
-                    _heappush(q._heap, entry)
-                q._live += 1
+                self._sched(now, hit, on_complete, (txn, hit))
                 return
         elif hierarchy.remote_cache is not None:
             # Remote write: any locally cached copy becomes stale.
             hierarchy.remote_cache.invalidate_address(txn.address)
         self._kc[id(AccessKind.REMOTE_DCA)] += 1
-        arrive = self._fabric_transfer(
-            self._engine._now, txn.gpu_id, owner, DATA_MSG_BYTES
-        )
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0,
-                         self._remote_service_leg, (txn, owner, on_complete),
-                         None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, self._remote_service_leg,
-                      (txn, owner, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._remote_service_leg
-            entry[4] = (txn, owner, on_complete)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq,
-                     self._remote_service_leg, (txn, owner, on_complete), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        arrive = self._fabric_transfer(now, txn.gpu_id, owner, DATA_MSG_BYTES)
+        self._sched(now, arrive, self._remote_service_leg,
+                    (txn, owner, on_complete))
 
     def _remote_service_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
-        served = self._rdma_service[owner](
-            self._engine._now, txn.address, txn.is_write
-        )
         now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(served if served > now else now, 0,
-                         self._remote_response_leg, (txn, owner, on_complete),
-                         None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, served, self._remote_response_leg,
-                      (txn, owner, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = served if served > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._remote_response_leg
-            entry[4] = (txn, owner, on_complete)
-        else:
-            entry = [served if served > now else now, 0, seq,
-                     self._remote_response_leg, (txn, owner, on_complete), None]
-        if served <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        served = self._rdma_service[owner](now, txn.address, txn.is_write)
+        self._sched(now, served, self._remote_response_leg,
+                    (txn, owner, on_complete))
 
     def _remote_response_leg(self, txn: MemoryTransaction, owner: int, on_complete: Callable) -> None:
-        arrive = self._fabric_transfer(
-            self._engine._now, owner, txn.gpu_id, DATA_MSG_BYTES
-        )
+        now = self._engine._now
+        arrive = self._fabric_transfer(now, owner, txn.gpu_id, DATA_MSG_BYTES)
         if not txn.is_write:
             self._hier[txn.gpu_id].remote_cache_fill(txn.address)
-        now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0, on_complete,
-                         (txn, arrive), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, on_complete, (txn, arrive))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, arrive)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq, on_complete,
-                     (txn, arrive), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        self._sched(now, arrive, on_complete, (txn, arrive))
 
     # CPU DCA (DFTM denial path) -----------------------------------------
 
@@ -466,107 +253,21 @@ class MemoryAccessPath:
         self._at(start, self._cpu_request_leg, txn, on_complete)
 
     def _cpu_request_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
-        arrive = self._fabric_transfer(
-            self._engine._now, txn.gpu_id, CPU_PORT, DATA_MSG_BYTES
-        )
         now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0,
-                         self._cpu_service_leg, (txn, on_complete), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, self._cpu_service_leg, (txn, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._cpu_service_leg
-            entry[4] = (txn, on_complete)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq,
-                     self._cpu_service_leg, (txn, on_complete), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        arrive = self._fabric_transfer(now, txn.gpu_id, CPU_PORT, DATA_MSG_BYTES)
+        self._sched(now, arrive, self._cpu_service_leg, (txn, on_complete))
 
     def _cpu_service_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
-        served = (
-            self._cpu_memory.acquire(self._engine._now, DATA_MSG_BYTES)
-            + self._cpu_mem_latency
-        )
         now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(served if served > now else now, 0,
-                         self._cpu_response_leg, (txn, on_complete), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, served, self._cpu_response_leg, (txn, on_complete))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = served if served > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = self._cpu_response_leg
-            entry[4] = (txn, on_complete)
-        else:
-            entry = [served if served > now else now, 0, seq,
-                     self._cpu_response_leg, (txn, on_complete), None]
-        if served <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        served = (
+            self._cpu_memory.acquire(now, DATA_MSG_BYTES) + self._cpu_mem_latency
+        )
+        self._sched(now, served, self._cpu_response_leg, (txn, on_complete))
 
     def _cpu_response_leg(self, txn: MemoryTransaction, on_complete: Callable) -> None:
-        arrive = self._fabric_transfer(
-            self._engine._now, CPU_PORT, txn.gpu_id, DATA_MSG_BYTES
-        )
         now = self._engine._now
-        ringq = self._ringq
-        if ringq is not None:
-            ringq._place(arrive if arrive > now else now, 0, on_complete,
-                         (txn, arrive), None)
-            return
-        cq = self._cq
-        if cq is not None:
-            cq._sched(now, arrive, on_complete, (txn, arrive))
-            return
-        q = self._equeue
-        seq = q._seq
-        q._seq = seq + 1
-        pool = q._pool
-        if pool:
-            entry = pool.pop()
-            entry[0] = arrive if arrive > now else now
-            entry[1] = 0
-            entry[2] = seq
-            entry[3] = on_complete
-            entry[4] = (txn, arrive)
-        else:
-            entry = [arrive if arrive > now else now, 0, seq, on_complete,
-                     (txn, arrive), None]
-        if arrive <= now:
-            q._lane.append(entry)
-        else:
-            _heappush(q._heap, entry)
-        q._live += 1
+        arrive = self._fabric_transfer(now, CPU_PORT, txn.gpu_id, DATA_MSG_BYTES)
+        self._sched(now, arrive, on_complete, (txn, arrive))
 
     # Post-migration routing ----------------------------------------------
 

@@ -151,7 +151,7 @@ class Machine:
         self.num_gpus = config.num_gpus
 
         # Event-core backend: config-selected, env-overridable (the
-        # ring-parity CI job replays the whole suite on the ring this way).
+        # compiled-parity CI job replays the whole suite this way).
         self.engine = build_engine(resolve_backend(config.sim.engine_backend))
         # Fault injection: a disabled (or absent) FaultConfig leaves every
         # component un-hooked so clean runs stay byte-identical.

@@ -87,25 +87,29 @@ def test_validate_subset(capsys):
     assert code in (0, 1)  # a subset may not satisfy suite-wide claims
 
 
-def test_run_engine_backend_ring_matches_heap(capsys):
-    """--engine-backend ring must produce byte-identical CLI output."""
+def test_run_engine_backend_flag_matches_default(capsys):
+    """--engine-backend must produce byte-identical CLI output: heap
+    everywhere, and compiled where the extension is built."""
+    from repro.sim.backends import available_backends
+
     argv = ["run", "MT", "--policy", "griffin",
             "--scale", "0.005", "--gpus", "2", "--seed", "5"]
     assert main(argv) == 0
-    heap_out = capsys.readouterr().out
-    assert main(argv + ["--engine-backend", "ring"]) == 0
-    assert capsys.readouterr().out == heap_out
+    default_out = capsys.readouterr().out
+    for backend in available_backends():
+        assert main(argv + ["--engine-backend", backend]) == 0
+        assert capsys.readouterr().out == default_out
 
 
 def test_bench_parser_accepts_label_and_backend():
     """`bench --label` names the report file; `--engine-backend` runs the
-    suite under the ring core (the ring-parity CI job uses both)."""
+    suite under another core (the compiled-parity CI job uses both)."""
     from repro.cli import _build_parser
 
     args = _build_parser().parse_args(
-        ["bench", "--quick", "--label", "ring-ci",
-         "--engine-backend", "ring", "--baseline", "none"]
+        ["bench", "--quick", "--label", "compiled-ci",
+         "--engine-backend", "compiled", "--baseline", "none"]
     )
-    assert args.label == "ring-ci"
-    assert args.engine_backend == "ring"
+    assert args.label == "compiled-ci"
+    assert args.engine_backend == "compiled"
     assert args.quick

@@ -262,11 +262,6 @@ class TestCellTimeoutClassic:
         assert not supervised.failures
         assert _dump(supervised) == _dump(serial)
 
-    def test_timeout_rejects_batch_mode(self):
-        with pytest.raises(ValueError, match="batch"):
-            _knob_sweep().run(scale=0.008, seed=5, batch=True,
-                              cell_timeout=1.0)
-
 
 class TestQueueCLI:
     def test_sweep_queue_dir_and_worker_exit_codes(self, tmp_path, capsys):

@@ -169,13 +169,11 @@ class TestForkBudget:
             return sweep.run(scale=0.008, seed=5,
                              max_events_per_run=budget, **kwargs)
 
-        forked, batched, cold = run(), run(batch=True), run(fork=False)
+        forked, cold = run(), run(fork=False)
         assert forked.forked_cells == 2 and forked.prefix_events > 0
-        assert batched.forked_cells == 2
         assert cold.cold_cells == 2
         assert len(cold.failures) == 2
         assert _dump_failures(forked) == _dump_failures(cold)
-        assert _dump_failures(batched) == _dump_failures(cold)
         for failure in cold.failures.values():
             assert failure.error_type == "SimulationStall"
             assert f"({budget} events)" in failure.message

@@ -117,7 +117,7 @@ def test_compiled_snapshot_matches_oracle():
         q.push_entry(1.0, 0, _noop, (2,))
         q.push_entry(1.0, -1, _noop, (3,))
         q.push(Event(0.5, _noop, (4,))).cancel()
-        q.push_lane(1.0, _noop, (5,))
+        q._sched(1.0, 1.0, _noop, (5,))
 
     cq, oq = CompiledQueue(), EventQueue()
     build(cq)
@@ -125,6 +125,32 @@ def test_compiled_snapshot_matches_oracle():
     got = [(e.time, e.priority, e.seq, e.args) for e in cq.snapshot()]
     want = [(e.time, e.priority, e.seq, e.args) for e in oq.snapshot()]
     assert got == want
+
+
+@needs_ckernel
+def test_compiled_sched_pops_like_the_heap():
+    """The access path's one scheduling call: the C ``_sched`` clamps and
+    routes exactly like ``EventQueue._sched``, so pop order, seq stamps
+    and time objects agree (clamped entries carry ``now`` itself)."""
+    def drive(q):
+        popped = []
+        now = 0
+        for step, (rel, delta) in enumerate(
+            [(">", 5), ("==", 0), ("<", 3), (">", 2.5), ("==", 0), ("<", 1),
+             (">", 5), (">", 0.5)]
+        ):
+            time = {"<": now - delta, "==": float(now), ">": now + delta}[rel]
+            q._sched(now, time, _noop, (step,))
+            if step % 3 == 2:
+                event = q.pop()
+                popped.append(event)
+                now = event.time
+        while len(q):
+            popped.append(q.pop())
+        return [(e.time, type(e.time), e.priority, e.seq, e.args)
+                for e in popped]
+
+    assert drive(CompiledQueue()) == drive(EventQueue())
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +234,35 @@ def test_compiled_engine_restores_onto_heap_when_unavailable(
     assert restored.trace == heap_engine.trace
     assert restored.now == heap_engine.now
     assert restored.events_executed == heap_engine.events_executed
+
+
+@needs_ckernel
+def test_mid_run_machine_snapshot_restores_onto_heap(monkeypatch):
+    """A whole machine paused mid-run under ``compiled`` forks onto the
+    heap engine on an extension-less host and finishes byte-identically:
+    the access path's bound ``_sched`` resolves on either queue."""
+    from repro.config.presets import tiny_system
+    from repro.harness.io import result_to_dict
+    from repro.harness.runner import harvest_result, prepare_run, run_workload
+
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
+    config = tiny_system(2).with_engine_backend("compiled")
+    machine, built, kernels = prepare_run(
+        "MT", policy="griffin", config=config, scale=0.008, seed=5
+    )
+    machine.start(kernels)
+    machine.run_until(machine.hyper.migration_period // 2)
+    snap = machine.snapshot()
+
+    monkeypatch.setattr(compiled_mod, "_ckernel", None)
+    forked = snap.fork()
+    assert type(forked.engine._queue) is EventQueue
+    forked.finish()
+    heap_run = run_workload("MT", "griffin", config=tiny_system(2),
+                            scale=0.008, seed=5)
+    assert result_to_dict(harvest_result(forked, built)) == result_to_dict(
+        heap_run
+    )
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +356,7 @@ def test_resolve_backend_unknown_name_is_config_error(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     with pytest.raises(ConfigError, match="unknown engine backend"):
         resolve_backend("bogus")
-    with pytest.raises(ConfigError, match="heap, ring, compiled"):
+    with pytest.raises(ConfigError, match="heap, compiled"):
         resolve_backend("bogus")
     # The dual inheritance existing callers rely on.
     assert issubclass(ConfigError, SimulationError)
@@ -317,10 +372,10 @@ def test_resolve_backend_env_override_validated(monkeypatch):
 def test_resolve_compiled_without_extension_names_alternatives(monkeypatch):
     monkeypatch.delenv(BACKEND_ENV, raising=False)
     monkeypatch.setattr(compiled_mod, "_ckernel", None)
-    assert available_backends() == ("heap", "ring")
+    assert available_backends() == ("heap",)
     with pytest.raises(ConfigError, match="not built") as exc:
         resolve_backend("compiled")
-    assert "available backends: heap, ring" in str(exc.value)
+    assert "available backends: heap" in str(exc.value)
     # ...and via the env override, same eager refusal.
     monkeypatch.setenv(BACKEND_ENV, "compiled")
     with pytest.raises(ConfigError, match="make ext"):
