@@ -193,12 +193,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="metric to tabulate (cycles, local_fraction, "
                               "shootdowns, migrations, gpu_to_gpu, imbalance)")
     sweep_p.add_argument("--workers", type=int, default=1,
-                         help="parallel worker processes (0 = one per core; "
+                         help="worker processes; above 1 the grid runs "
+                              "through a temporary queue (0 = one per core; "
                               "results are identical at any worker count)")
-    sweep_p.add_argument("--chunk-size", type=int, default=0, metavar="N",
-                         help="grid points submitted per process task "
-                              "(0 = auto); larger chunks amortize pickling "
-                              "on big grids")
     sweep_p.add_argument("--no-fork", action="store_true",
                          help="disable snapshot-fork warm-state reuse and "
                               "run every cell from cycle zero (results are "
@@ -222,8 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     queue_g.add_argument("--cell-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="per-cell wall-clock budget; a cell past it is "
-                              "killed (and, with --queue-dir, retried with "
-                              "backoff then quarantined)")
+                              "killed, retried with backoff, then "
+                              "quarantined")
     queue_g.add_argument("--lease", type=float, default=30.0,
                          metavar="SECONDS",
                          help="queue lease duration; a worker that stops "
@@ -577,7 +574,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     result = sweep.run(scale=args.scale, seed=args.seed, workers=workers,
                        max_events_per_run=args.max_events,
-                       chunk_size=args.chunk_size,
                        fork=not args.no_fork,
                        cache_dir=args.cache_dir, resume=args.resume,
                        checks=_make_checks(args), bundle_dir=args.bundle_dir,
@@ -586,31 +582,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                        lease_duration=args.lease,
                        max_attempts=args.max_attempts)
     print(result.table(args.metric))
+    stats = (
+        f"cells: {len(result.points) + len(result.failures)} "
+        f"(forked {result.forked_cells}, cold {result.cold_cells}, "
+        f"shared {result.shared_cells}, cached {result.cache_hits})"
+    )
+    if args.cache_dir is not None:
+        stats += (
+            f" | cache: {result.cache_hits} hits, "
+            f"{result.cache_misses} misses"
+        )
+    if result.fork_groups:
+        stats += (
+            f" | {result.fork_groups} shared prefixes, "
+            f"{result.prefix_events:,} prefix events"
+        )
     if args.queue_dir is not None:
         from repro.harness.queue import SweepQueue
 
-        qstats = SweepQueue.open(args.queue_dir).stats()
-        stats = (
-            f"queue: {qstats.done} done, {qstats.failed} failed, "
-            f"{qstats.quarantined} quarantined, "
-            f"{result.shared_cells} shared cells "
-            f"({args.queue_dir})"
-        )
-    else:
-        stats = (
-            f"cells: {len(result.points) + len(result.failures)} "
-            f"(forked {result.forked_cells}, cold {result.cold_cells}, "
-            f"shared {result.shared_cells}, cached {result.cache_hits})"
-        )
-        if args.cache_dir is not None:
+        try:
+            qstats = SweepQueue.open(args.queue_dir).stats()
+        except FileNotFoundError:
+            pass  # every cell came from the cache; nothing was queued
+        else:
             stats += (
-                f" | cache: {result.cache_hits} hits, "
-                f"{result.cache_misses} misses"
-            )
-        if result.fork_groups:
-            stats += (
-                f" | {result.fork_groups} shared prefixes, "
-                f"{result.prefix_events:,} prefix events"
+                f" | queue: {qstats.done} done, {qstats.failed} failed, "
+                f"{qstats.quarantined} quarantined ({args.queue_dir})"
             )
     print(stats)
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]

@@ -39,7 +39,7 @@ runs that shared prefix **once** per group, snapshots the machine at
 ``migration_period - 1`` cycles, and forks each cell from the snapshot
 via :class:`repro.sim.snapshot.MachineSnapshot`.  Forked cells are
 byte-identical to cold runs — the parity suite pins this — so results
-never depend on ``fork``, ``workers``, or ``chunk_size``.
+never depend on ``fork``, ``workers``, or the executor.
 
 Cells that cannot share a prefix run cold, exactly as before: object
 workloads (no stable fingerprint), predictive policies (they consume
@@ -47,6 +47,17 @@ workloads (no stable fingerprint), predictive policies (they consume
 error message), and groups of one distinct cell (nothing to amortize).
 Event budgets span a cell's whole run, so even a forked cell that
 exhausts ``max_events`` fails with its cold run's exact message.
+
+Executors
+---------
+
+``Sweep.run`` has two.  The *in-process* executor runs every cell in
+the calling process; it is used when ``workers <= 1``, ``cell_timeout``
+is unset and ``queue_dir`` is unset.  Every other sweep runs through a
+:class:`repro.harness.queue.SweepQueue` — in ``queue_dir``, or a
+temporary directory — drained by ``workers`` local worker processes or
+by the calling process.  Both plan the same way, read and write the
+same cache, and return byte-identical results.
 
 Caching
 -------
@@ -56,8 +67,10 @@ Caching
 :func:`repro.perf.fingerprint.code_fingerprint`, so any source change
 invalidates every entry.  ``resume=True`` loads completed cells from the
 cache instead of re-running them — a killed sweep re-runs only what it
-had not finished.  Group snapshots are cached the same way; failures are
-never cached.
+had not finished.  Both executors read and write results there; the
+in-process executor caches group snapshots there too, while queue
+workers share theirs under the queue directory.  Failures are never
+cached.
 """
 
 from __future__ import annotations
@@ -67,6 +80,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -559,26 +573,51 @@ class SweepPlan:
         """The distinct cells' rows: one queue row per identity."""
         return [self.cells[i] for i in self.distinct()]
 
-    def fan_out(self, result: SweepResult) -> SweepResult:
-        """Answer every grid cell from its owner's outcome in ``result``.
+    def partition(self, cache) -> tuple[list, list]:
+        """Split the distinct cells into cache hits and cells to run.
 
-        ``result`` is keyed by the distinct cells' keys (a drained queue,
-        a service assembly); the returned result holds every grid key in
-        grid order, each with an independent copy of its outcome.
+        Returns ``(hits, pending)``: ``hits`` holds ``(grid_index, key,
+        fingerprint, RunResult)`` per identity found in ``cache`` and
+        ``pending`` the grid indices of the others, in grid order.
         """
-        out = SweepResult()
+        distinct = self.distinct()
+        found, _missing = partition_cached_cells(self.rows(), cache)
+        hits = [(distinct[row], key, fingerprint, run)
+                for row, key, fingerprint, run in found]
+        answered = {index for index, _key, _fp, _run in hits}
+        return hits, [i for i in distinct if i not in answered]
+
+    def assemble(self, collected: SweepResult, hits=()) -> SweepResult:
+        """Merge cache hits with executed outcomes; answer every cell.
+
+        ``collected`` is keyed by the keys of the identities that ran (a
+        drained queue's :meth:`SweepQueue.collect`); ``hits`` is
+        :meth:`partition` output.  The returned result holds every grid
+        key in grid order, each with an independent copy of its outcome,
+        and counts cache hits and shared cells as the in-process
+        executor does.
+        """
+        points = dict(collected.points)
+        points.update((key, run) for _index, key, _fp, run in hits)
+        cached = {index for index, _key, _fp, _run in hits}
+        answers = self.answers()
+        out = SweepResult(cache_hits=sum(len(answers[i]) for i in cached))
         for index, (key, _args, _fp, _gfp) in enumerate(self.cells):
             owner = self.owner[index]
             source = self.cells[owner][0]
-            if source in result.points:
-                run = result.points[source]
+            if source in points:
+                run = points[source]
                 out.points[key] = run if owner == index else _copy_outcome(run)
             else:
+                # Which worker ran a cell is not part of its outcome (the
+                # queue's rows and bundles keep it), so a failure reads as
+                # the in-process executor records it.
                 out.failures[key] = dataclasses.replace(
-                    result.failures[source],
+                    collected.failures[source],
                     workload=key.workload, policy=key.policy,
+                    last_owner=None,
                 )
-            if owner != index:
+            if owner != index and owner not in cached:
                 out.shared_cells += 1
         return out
 
@@ -720,7 +759,7 @@ class Sweep:
             progress=None, workers: int = 1,
             max_events_per_run: Optional[int] = None,
             stall_threshold: Optional[int] = 1_000_000,
-            chunk_size: int = 0, fork: bool = True,
+            fork: bool = True,
             cache_dir=None, resume: bool = False,
             checks=None, bundle_dir=None,
             cell_timeout: Optional[float] = None,
@@ -729,32 +768,36 @@ class Sweep:
             backoff_cap: float = 60.0) -> SweepResult:
         """Execute every grid point; optionally report progress.
 
+        The grid runs in-process when ``workers <= 1``, ``cell_timeout``
+        is None and ``queue_dir`` is None, and through a
+        :class:`repro.harness.queue.SweepQueue` otherwise (see the module
+        docstring).  Both executors plan alike, share the cache step and
+        return byte-identical results.
+
         Args:
             scale / seed: Forwarded to every run.
-            progress: Optional callable ``(done, total, key)`` invoked as
-                each point completes (completion order, not grid order;
-                cells that share an identity complete together).
-            workers: Process count.  Grid points are independent
-                simulations, so they parallelize perfectly; results are
-                identical regardless of worker count (every run is
-                deterministic).
+            progress: Optional callable ``(done, total, key)``.  In-process
+                it fires as each point completes (completion order, not
+                grid order; cells that share an identity complete
+                together).  Through the queue it is polled from queue
+                counters and ``key`` is None.
+            workers: Local worker processes draining the queue.  Grid
+                points are independent simulations, so they parallelize
+                perfectly; results are identical regardless of worker
+                count (every run is deterministic).
             max_events_per_run: Event budget for each grid point — the
                 sweep-level no-hang guarantee.  A point that exhausts it
                 lands in ``SweepResult.failures``.
             stall_threshold: Per-run livelock watchdog (None disables).
-            chunk_size: Grid points per submitted process task.  0 picks
-                roughly ``total / (4 * workers)`` so each worker sees a
-                few chunks (load balance) while pickling overhead is
-                amortized on large grids.  Results are identical at any
-                chunk size.
             fork: Share warm-up across cells that differ only in
                 late-binding knobs (see module docstring).  Results are
                 byte-identical either way; False runs every distinct
                 cell cold.  Cells with one identity run once regardless.
             cache_dir: Directory for the on-disk result + snapshot cache;
-                None disables caching.
+                None disables caching.  Every fresh result is stored under
+                its cell fingerprint, whichever executor ran it.
             resume: Serve cells already present in ``cache_dir`` from
-                disk instead of re-running them.
+                disk instead of re-running them; only the rest execute.
             checks: Optional :class:`repro.check.CheckConfig` applied to
                 every cell.  Checked cells run cold (the sanitizer must
                 observe the run from cycle zero) and a violating cell
@@ -763,278 +806,184 @@ class Sweep:
                 checked cell; each :class:`FailedRun` then records its
                 ``bundle_path`` (also shown by :meth:`SweepResult.failure_table`).
             cell_timeout: Per-cell wall-clock budget in seconds.  Each
-                cell then runs cold in its own supervised child process
-                that is SIGKILLed past the deadline — the backstop for
-                hangs in native/OS code that the in-sim event budgets
-                and stall watchdog cannot see.  A timed-out cell lands
-                in ``failures`` as ``CellTimeout``; the rest of the grid
-                completes.  Results stay byte-identical (cold == forked
-                is pinned by the parity suite).
-            queue_dir: Execute through a fault-tolerant on-disk
-                :class:`repro.harness.queue.SweepQueue` instead of the
-                in-process pool.  The grid is materialized as sqlite
-                rows; ``workers`` local worker processes drain it, and
-                any number of external ``repro worker <queue_dir>``
-                processes — on any machine sharing the filesystem — may
-                attach at any time.  Results are byte-identical to an
-                in-process run; crashed/hung workers are recovered via
-                lease expiry (see docs/resilience.md).  ``progress`` is
-                polled from queue counters, so the ``key`` argument is
-                None in this mode.  Incompatible with ``cache_dir`` /
-                ``resume`` (the queue is itself the resume mechanism:
-                re-running with the same ``queue_dir`` picks up where
-                the grid left off).
+                cell then runs in its own supervised child process that
+                is SIGKILLed past the deadline — the backstop for hangs
+                in native/OS code that the in-sim event budgets and stall
+                watchdog cannot see.  A timed-out cell is retried up to
+                ``max_attempts`` times, then quarantined: it lands in
+                ``failures`` as ``CellTimeout`` with an evidence bundle,
+                and the rest of the grid completes.
+            queue_dir: Directory of the on-disk queue.  Any number of
+                external ``repro worker <queue_dir>`` processes — on any
+                machine sharing the filesystem — may attach while the
+                sweep runs; crashed or hung workers are recovered via
+                lease expiry (see docs/resilience.md), and re-running
+                with the same ``queue_dir`` picks up where the grid left
+                off.  Without it, a queue-run sweep uses a temporary
+                directory, removed afterwards unless it holds a
+                quarantine bundle (``FailedRun.bundle_path`` points
+                into it).
             lease_duration / max_attempts / backoff_base / backoff_cap:
-                Queue-mode recovery policy — how long a worker may hold
-                a cell without heartbeating, how many executions a cell
-                is granted before quarantine, and the capped exponential
+                Queue recovery policy — how long a worker may hold a
+                cell without heartbeating, how many executions a cell is
+                granted before quarantine, and the capped exponential
                 backoff between retries.
 
         A point that raises is recorded as a :class:`FailedRun` in
         ``SweepResult.failures``; the rest of the grid still runs.  A
-        worker task that dies wholesale (e.g. OOM-kill, unpicklable
-        input) is retried cell-by-cell in the parent, so only the truly
-        bad cells fail.
+        grid whose inputs cannot be pickled (an object workload holding
+        a closure, say) cannot reach a queue: without ``queue_dir`` it
+        runs in-process, with no wall-clock budget.
         """
-        if queue_dir is not None:
-            if cache_dir is not None or resume:
-                raise ValueError(
-                    "queue_dir is its own resume mechanism; do not "
-                    "combine it with cache_dir/resume"
-                )
-            return self._run_queue(
-                scale=scale, seed=seed, progress=progress, workers=workers,
-                max_events_per_run=max_events_per_run,
-                stall_threshold=stall_threshold, fork=fork, checks=checks,
-                bundle_dir=bundle_dir, cell_timeout=cell_timeout,
-                queue_dir=queue_dir, lease_duration=lease_duration,
-                max_attempts=max_attempts, backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
-            )
-        result = SweepResult()
-        total = self.size()
         grid = list(self._grid(scale, seed, max_events_per_run,
                                stall_threshold, checks, bundle_dir))
+        queued = (workers > 1 or cell_timeout is not None
+                  or queue_dir is not None)
+        if queued and queue_dir is None and not _picklable(grid):
+            queued = False
         cache = None
         code_fp = ""
-        if cache_dir is not None:
-            from repro.harness.io import SweepResultCache
+        if cache_dir is not None or queued:
             from repro.perf.fingerprint import code_fingerprint
 
-            cache = SweepResultCache(cache_dir)
             code_fp = code_fingerprint()
+        if cache_dir is not None:
+            from repro.harness.io import SweepResultCache
+
+            cache = SweepResultCache(cache_dir)
         plan = plan_sweep(grid, code_fp, fork)
-        answers = plan.answers()
-        outcomes: dict[int, object] = {}
-        done = 0
+        hits, pending = [], plan.distinct()
+        if resume and cache is not None:
+            hits, pending = plan.partition(cache)
 
-        def land(index: int, outcome) -> None:
-            """Record ``index``'s outcome on every cell it answers."""
-            nonlocal done
-            for cell in answers[index]:
-                outcomes[cell] = (
-                    outcome if cell == index else _copy_outcome(outcome)
-                )
-                done += 1
-                if progress is not None:
-                    progress(done, total, grid[cell][0])
+        if queued:
+            from repro.harness.queue import QueueSettings
 
-        # --- cache: maybe resume completed identities
-        pending: list[int] = []
-        for index in plan.distinct():
-            fingerprint = plan.cells[index][2]
-            cached = None
-            if resume and cache is not None and fingerprint is not None:
-                cached = cache.load(fingerprint)
-            if cached is None:
-                pending.append(index)
-                result.shared_cells += len(answers[index]) - 1
-            else:
-                result.cache_hits += len(answers[index])
-                land(index, cached)
-
-        if cell_timeout is not None:
-            # A wall-clock budget means every remaining cell runs cold in
-            # its own killable child process.
-            self._run_supervised(grid, pending, workers, cell_timeout,
-                                 result, land)
-            groups, cold = [], []
-        else:
-            groups, cold = _fork_groups(plan.cells, pending)
-
-        # --- execute
-        if workers <= 1:
-            for group_fp, members in groups:
-                self._run_group_serial(grid, group_fp, members, cache,
-                                       result, land)
-            for index in cold:
-                land(index, _run_point_safe(grid[index][1]))
-                result.cold_cells += 1
-        else:
-            self._run_parallel(
-                grid, groups, cold, workers, chunk_size, len(pending),
-                cache, result, land,
+            settings = QueueSettings(
+                lease_duration=lease_duration, max_attempts=max_attempts,
+                backoff_base=backoff_base, backoff_cap=backoff_cap,
+                cell_timeout=cell_timeout,
             )
+            result = _run_queue(plan, hits, pending, progress, workers,
+                                queue_dir, settings, code_fp)
+        else:
+            result = _run_in_process(plan, hits, pending, cache, progress)
 
-        # --- record in grid order; cache each fresh identity once
-        for index, (key, _args) in enumerate(grid):
-            self._record(result, key, outcomes[index])
+        # --- cache each fresh identity once
         if cache is not None:
             for index in pending:
-                fingerprint = plan.cells[index][2]
+                key, _args, fingerprint, _gfp = plan.cells[index]
                 if fingerprint is None:
                     continue
                 result.cache_misses += 1
-                if isinstance(outcomes[index], RunResult):
-                    cache.store(fingerprint, outcomes[index])
+                if key in result.points:
+                    cache.store(fingerprint, result.points[key])
         return result
 
-    # ------------------------------------------------------------------
-    # Fork-group execution
-    # ------------------------------------------------------------------
 
-    def _run_group_serial(self, grid, group_fp, members, cache,
-                          result, land) -> None:
-        """Prefix once, fork every member, in this process."""
-        try:
-            snap, meta = _prepare_group(grid[members[0]][1], cache, group_fp)
-        except Exception:
-            # The shared prefix failed; each cell re-runs cold so its
-            # failure (or success) is exactly what a plain run reports.
-            for index in members:
-                land(index, _run_point_safe(grid[index][1]))
-                result.cold_cells += 1
-            return
-        result.fork_groups += 1
-        result.prefix_events += snap.events_executed
-        for index in members:
-            land(index, _finish_fork_safe(snap, meta, _fork_cell(grid[index][1])))
-            result.forked_cells += 1
+def _run_in_process(plan: SweepPlan, hits, pending, cache,
+                    progress) -> SweepResult:
+    """Run the pending identities in this process, prefix once per group."""
+    grid = plan.cells
+    result = SweepResult()
+    total = len(grid)
+    answers = plan.answers()
+    outcomes: dict[int, object] = {}
+    done = 0
 
-    def _run_parallel(self, grid, groups, cold, workers, chunk_size,
-                      total, cache, result, land) -> None:
-        """Fan chunks out to persistent workers; snapshots ship per chunk."""
-        from concurrent.futures import ProcessPoolExecutor
+    def land(index: int, outcome) -> None:
+        """Record ``index``'s outcome on every cell it answers."""
+        nonlocal done
+        for cell in answers[index]:
+            outcomes[cell] = (
+                outcome if cell == index else _copy_outcome(outcome)
+            )
+            done += 1
+            if progress is not None:
+                progress(done, total, grid[cell][0])
 
-        if chunk_size <= 0:
-            chunk_size = max(1, total // (4 * workers))
+    for index, _key, _fp, run in hits:
+        result.cache_hits += len(answers[index])
+        land(index, run)
+    for index in pending:
+        result.shared_cells += len(answers[index]) - 1
 
-        # Prefixes run in the parent: each group's snapshot is computed
-        # once and pickled into every chunk submitted for that group.
-        fork_tasks: list[tuple[list[int], object, object]] = []
-        for group_fp, members in groups:
-            try:
-                snap, meta = _prepare_group(
-                    grid[members[0]][1], cache, group_fp
-                )
-            except Exception:
-                cold = cold + members
-                continue
-            result.fork_groups += 1
-            result.prefix_events += snap.events_executed
-            for part in _chunked(members, chunk_size):
-                fork_tasks.append((part, snap, meta))
-        cold = sorted(cold)
+    groups, cold = _fork_groups(grid, pending)
+    for group_fp, members in groups:
+        _run_group(grid, group_fp, members, cache, result, land)
+    for index in cold:
+        land(index, _run_point_safe(grid[index][1]))
+        result.cold_cells += 1
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for part, snap, meta in fork_tasks:
-                cells = [_fork_cell(grid[index][1]) for index in part]
-                futures.append(
-                    (part, True, pool.submit(_run_fork_chunk, snap, meta, cells))
-                )
-            for part in _chunked(cold, chunk_size):
-                args_list = [grid[index][1] for index in part]
-                futures.append(
-                    (part, False, pool.submit(_run_chunk, args_list))
-                )
-            for part, forked, future in futures:
-                try:
-                    chunk_outcomes = future.result()
-                except Exception:
-                    # The whole task died (worker killed, inputs failed
-                    # to pickle...).  Retry cell-by-cell in the parent so
-                    # only the genuinely bad cells become FailedRuns.
-                    for index in part:
-                        land(index, _run_point_safe(grid[index][1]))
-                        result.cold_cells += 1
-                    continue
-                for index, outcome in zip(part, chunk_outcomes):
-                    land(index, outcome)
-                    if forked:
-                        result.forked_cells += 1
-                    else:
-                        result.cold_cells += 1
-
-    def _run_supervised(self, grid, pending, workers, cell_timeout,
-                        result, land) -> None:
-        """Run every ``pending`` cell cold in a supervised child process.
-
-        The supervisor (:func:`repro.harness.worker.run_cell_supervised`)
-        SIGKILLs a cell past ``cell_timeout`` seconds, so a hang in
-        native/OS code costs one cell, not the whole grid.  With
-        ``workers > 1``, supervisor *threads* each drive one child
-        process — unlike a process pool, a killed cell poisons nothing.
-        """
-        from repro.harness.worker import run_cell_supervised
-
-        if workers <= 1:
-            for index in pending:
-                land(index, run_cell_supervised(
-                    grid[index][1], timeout=cell_timeout
-                ))
-                result.cold_cells += 1
+    # --- record in grid order
+    for index, (key, *_rest) in enumerate(grid):
+        outcome = outcomes[index]
+        if isinstance(outcome, Exception):
+            result.failures[key] = FailedRun.from_exception(
+                key.workload, key.policy, outcome
+            )
         else:
-            from concurrent.futures import ThreadPoolExecutor, as_completed
+            result.points[key] = outcome
+    return result
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(run_cell_supervised, grid[index][1],
-                                None, None, cell_timeout): index
-                    for index in pending
-                }
-                for future in as_completed(futures):
-                    land(futures[future], future.result())
-                    result.cold_cells += 1
 
-    def _run_queue(self, *, scale, seed, progress, workers,
-                   max_events_per_run, stall_threshold, fork, checks,
-                   bundle_dir, cell_timeout, queue_dir, lease_duration,
-                   max_attempts, backoff_base,
-                   backoff_cap) -> SweepResult:
-        """Execute the grid through an on-disk fault-tolerant queue.
+def _run_group(grid, group_fp, members, cache, result, land) -> None:
+    """Prefix once, fork every member, in this process."""
+    try:
+        snap, meta = _prepare_group(grid[members[0]][1], cache, group_fp)
+    except Exception:
+        # The shared prefix failed; each cell re-runs cold so its
+        # failure (or success) is exactly what a plain run reports.
+        for index in members:
+            land(index, _run_point_safe(grid[index][1]))
+            result.cold_cells += 1
+        return
+    result.fork_groups += 1
+    result.prefix_events += snap.events_executed
+    for index in members:
+        land(index, _finish_fork_safe(snap, meta, _fork_cell(grid[index][1])))
+        result.forked_cells += 1
 
-        The grid is materialized as lease-managed sqlite rows
-        (:class:`repro.harness.queue.SweepQueue`); ``workers`` local
-        worker processes drain it, and external ``repro worker``
-        processes may attach at any time to help.  The calling process
-        supervises: it reaps expired leases, and if every local worker
-        dies it degrades to draining the queue itself, so the sweep
-        always converges.  Results are byte-identical to the in-process
-        executor (same runner, same fork plan, deterministic cells).
-        """
-        import multiprocessing
-        import time as _time
 
-        from repro.harness.queue import QueueSettings, SweepQueue
-        from repro.harness.worker import run_worker
-        from repro.perf.fingerprint import code_fingerprint
+def _run_queue(plan: SweepPlan, hits, pending, progress, workers,
+               queue_dir, settings, code_fp: str) -> SweepResult:
+    """Drain the pending identities through an on-disk queue.
 
-        grid = list(self._grid(scale, seed, max_events_per_run,
-                               stall_threshold, checks, bundle_dir))
-        code_fp = code_fingerprint()
-        plan = plan_sweep(grid, code_fp, fork)
-        answers = plan.answers()
-        weights = [len(answers[index]) for index in plan.distinct()]
-        settings = QueueSettings(
-            lease_duration=lease_duration, max_attempts=max_attempts,
-            backoff_base=backoff_base, backoff_cap=backoff_cap,
-            cell_timeout=cell_timeout,
-        )
+    One lease-managed sqlite row per pending identity
+    (:class:`repro.harness.queue.SweepQueue`); ``workers`` local worker
+    processes drain it, and external ``repro worker`` processes may
+    attach at any time.  The calling process supervises: it reaps
+    expired leases, and drains the queue itself when there is no local
+    fleet or the whole fleet died, so the sweep always converges.
+    """
+    if not pending:
+        return plan.assemble(SweepResult(), hits)
+    import shutil
+    import tempfile
+    import time as _time
+    from pathlib import Path
+
+    from repro.harness.queue import SweepQueue
+    from repro.harness.worker import _CTX, run_worker
+
+    # Cache hits can leave a fork group with one pending member; like
+    # the in-process loop, that cell runs cold.
+    groups, _cold = _fork_groups(plan.cells, pending)
+    grouped = {index for _gfp, members in groups for index in members}
+    rows = []
+    for index in pending:
+        key, args, fingerprint, group_fp = plan.cells[index]
+        rows.append((key, args, fingerprint,
+                     group_fp if index in grouped else None))
+    root = (Path(queue_dir) if queue_dir is not None
+            else Path(tempfile.mkdtemp(prefix="repro-sweep-")))
+    try:
         queue = SweepQueue.create_or_attach(
-            queue_dir, plan.rows(), settings=settings, code_fp=code_fp
+            root, rows, settings=settings, code_fp=code_fp,
         )
-        total = len(grid)
+        answers = plan.answers()
+        weights = [len(answers[index]) for index in pending]
+        answered = len(plan.cells) - sum(weights)  # by cache hits
 
         def report_progress() -> None:
             if progress is not None:
@@ -1042,16 +991,12 @@ class Sweep:
                     weight for weight, row in zip(weights, queue.rows())
                     if row[1] not in ("open", "leased")
                 )
-                progress(settled, total, None)
+                progress(answered + settled, len(plan.cells), None)
 
         if workers > 1:
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
             procs = [
-                ctx.Process(
-                    target=run_worker, args=(str(queue_dir),),
+                _CTX.Process(
+                    target=run_worker, args=(str(root),),
                     kwargs={"install_signal_handlers": True},
                 )
                 for _ in range(workers)
@@ -1073,35 +1018,53 @@ class Sweep:
                         proc.terminate()  # SIGTERM -> graceful drain
                 for proc in procs:
                     proc.join()
-        # Degraded mode (workers <= 1), fleet-death fallback, and the
-        # final safety net for leases released by draining workers: the
-        # calling process claims cells itself until the grid is done.
+        # No local fleet, fleet-death fallback, and the final safety net
+        # for leases released by draining workers: the calling process
+        # claims cells itself until the grid is done.
         while not queue.drained():
-            run_worker(queue_dir, exit_when_drained=True)
+            run_worker(root, exit_when_drained=True)
         report_progress()
-        return plan.fan_out(queue.collect())
+        result = plan.assemble(queue.collect(), hits)
+        _count_forks(result, rows, queue.cache_dir)
+    finally:
+        bundles = root / "bundles"
+        if queue_dir is None and not (bundles.is_dir()
+                                      and any(bundles.iterdir())):
+            shutil.rmtree(root, ignore_errors=True)
+    return result
 
-    @staticmethod
-    def _record(result: SweepResult, key: SweepKey, outcome) -> None:
-        if isinstance(outcome, Exception):
-            result.failures[key] = FailedRun.from_exception(
-                key.workload, key.policy, outcome
-            )
-            return
-        from repro.harness.worker import CellFailure
 
-        if isinstance(outcome, CellFailure):
-            result.failures[key] = FailedRun(
-                workload=key.workload, policy=key.policy,
-                error_type=outcome.error_type, message=outcome.message,
-                bundle_path=outcome.bundle_path,
-            )
+def _count_forks(result: SweepResult, rows, snapshot_dir) -> None:
+    """Count a drained queue's forked and cold cells.
+
+    A row forked only if its group's prefix snapshot is in the queue's
+    snapshot cache after the drain; ``prefix_events`` comes from the
+    snapshots themselves.
+    """
+    from repro.harness.io import SweepResultCache
+
+    snapshots = SweepResultCache(snapshot_dir)
+    prefixes: dict = {}
+    for _key, _args, _fp, group_fp in rows:
+        if group_fp is not None and group_fp not in prefixes:
+            prefixes[group_fp] = snapshots.load_snapshot(group_fp)
+        if prefixes.get(group_fp) is None:
+            result.cold_cells += 1
         else:
-            result.points[key] = outcome
+            result.forked_cells += 1
+    for cached in prefixes.values():
+        if cached is not None:
+            result.fork_groups += 1
+            result.prefix_events += cached[0].events_executed
 
 
-def _chunked(items: list, size: int) -> list:
-    return [items[i:i + size] for i in range(0, len(items), size)]
+def _picklable(grid) -> bool:
+    """True if the grid can travel to queue workers."""
+    try:
+        pickle.dumps(grid, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return False
+    return True
 
 
 def _copy_outcome(outcome):
@@ -1164,15 +1127,6 @@ def _finish_fork_safe(snap, meta, cell):
         return exc
 
 
-def _run_fork_chunk(snap, meta, cells: list) -> list:
-    """Continue several cells from one snapshot in one worker task.
-
-    The pickled snapshot crosses the process boundary once per chunk;
-    every cell in the chunk forks from the worker's in-memory copy.
-    """
-    return [_finish_fork_safe(snap, meta, cell) for cell in cells]
-
-
 def _run_point_safe(args):
     """Run one grid point, returning the exception instead of raising."""
     try:
@@ -1181,17 +1135,8 @@ def _run_point_safe(args):
         return exc
 
 
-def _run_chunk(args_list: list) -> list:
-    """Execute several grid points in one worker task.
-
-    Returning per-point outcomes (result or exception) keeps the
-    one-bad-cell-never-kills-the-grid guarantee under chunking.
-    """
-    return [_run_point_safe(args) for args in args_list]
-
-
 def _run_point(args) -> RunResult:
-    """Execute one grid point (module-level for multiprocessing pickling)."""
+    """Execute one grid point cold."""
     (workload, policy, config, hyper, scale, seed,
      fault, max_events, stall_threshold, checks, bundle_dir) = args
     return run_workload(

@@ -98,7 +98,7 @@ def execute_cell(args, group_fp: Optional[str] = None,
     snapshot-fork runner (the prefix snapshot is loaded from — or run
     once and stored into — ``snapshot_cache``); if the prefix fails, the
     cell re-runs cold so its outcome is exactly a plain run's, matching
-    ``Sweep._run_group_serial``.  Returns a :class:`RunResult` or raises
+    the in-process executor.  Returns a :class:`RunResult` or raises
     the cell's own exception.
     """
     from repro.harness.sweep import (

@@ -9,7 +9,7 @@ harness already proves byte-identical to serial ``Sweep.run()``:
 * cells with the same effective inputs collapse to one identity
   (:func:`plan_sweep`); the fingerprint cache answers already-computed
   identities immediately, and only missing ones are enqueued
-  (:func:`partition_cached_cells`), one queue row each;
+  (:meth:`SweepPlan.partition`), one queue row each;
 * missing cells run through a :class:`SweepQueue` drained by a
   supervised local worker fleet (:class:`FleetSupervisor`);
 * per-cell progress streams back as NDJSON while the fleet works.
@@ -44,12 +44,10 @@ from repro.harness.io import (
     sweep_result_to_dict,
 )
 from repro.harness.queue import QueueSettings, SweepQueue
-from repro.harness.results import FailedRun
 from repro.harness.sweep import (
     SpecError,
     SweepPlan,
     SweepResult,
-    partition_cached_cells,
     plan_sweep,
     sweep_from_spec,
 )
@@ -206,14 +204,9 @@ class ExperimentService:
     def _create_submission(self, prep: dict) -> Submission:
         """Build a Submission from prepared cells (blocking; may raise)."""
         plan = prep["plan"]
-        distinct = plan.distinct()
         answers = plan.answers()
-        hits, missing = partition_cached_cells(plan.rows(), self.cache)
-        cached = [(distinct[row], key, fingerprint, result)
-                  for row, key, fingerprint, result in hits]
-        cached_rows = {row for row, _k, _fp, _r in hits}
-        qgrid = [index for row, index in enumerate(distinct)
-                 if row not in cached_rows]
+        cached, qgrid = plan.partition(self.cache)
+        missing = [plan.cells[index] for index in qgrid]
         events = [
             {"event": "cell", "index": cell, "status": "cached",
              "key": sweep_key_to_dict(plan.cells[cell][0])}
@@ -366,38 +359,13 @@ class ExperimentService:
     def _assemble(self, sub: Submission) -> SweepResult:
         """Merge cache hits and queue outcomes back into grid order.
 
-        Mirrors :meth:`SweepQueue.collect` for the queued subset, then
-        answers every shared cell from its identity's outcome, so the
-        serialized result is byte-identical to serial ``Sweep.run()``.
+        :meth:`SweepPlan.assemble` answers every shared cell from its
+        identity's outcome, so the serialized result is byte-identical
+        to serial ``Sweep.run()``.
         """
-        cached_map = {index: result for index, _key, _fp, result in sub.cached}
-        qrows = sub.queue.rows() if sub.queue is not None else []
-        qmap = {sub.qgrid[qi]: row for qi, row in enumerate(qrows)}
-        result = SweepResult()
-        for grid_index in sub.plan.distinct():
-            key = sub.plan.cells[grid_index][0]
-            if grid_index in cached_map:
-                result.points[key] = cached_map[grid_index]
-                continue
-            (_idx, status, _owner, last_owner, attempts, error_type,
-             message, result_path, bundle_path) = qmap[grid_index]
-            if status == "done":
-                result.points[key] = load_result(result_path)
-            elif status in ("failed", "quarantined"):
-                result.failures[key] = FailedRun(
-                    workload=key.workload, policy=key.policy,
-                    error_type=error_type or status, message=message or "",
-                    bundle_path=bundle_path, attempts=max(attempts, 1),
-                    last_owner=last_owner,
-                )
-            else:
-                result.failures[key] = FailedRun(
-                    workload=key.workload, policy=key.policy,
-                    error_type="Incomplete",
-                    message=f"cell still {status} when collected",
-                    attempts=max(attempts, 1), last_owner=last_owner,
-                )
-        return sub.plan.fan_out(result)
+        collected = (sub.queue.collect() if sub.queue is not None
+                     else SweepResult())
+        return sub.plan.assemble(collected, sub.cached)
 
     # ------------------------------------------------------------------
     # HTTP handlers

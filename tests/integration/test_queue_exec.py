@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import tempfile
 import time
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from repro.cli import main
 from repro.config.hyperparams import GriffinHyperParams
 from repro.config.presets import tiny_system
-from repro.harness.io import result_to_dict
+from repro.harness.io import result_to_dict, sweep_result_to_dict
 from repro.harness.queue import QueueSettings, SweepQueue
 from repro.harness.sweep import Sweep, plan_queue_cells
 from repro.harness.worker import _CTX, run_worker
@@ -127,6 +128,7 @@ class TestQueueParity:
         queued = sweep().run(scale=0.008, seed=5, queue_dir=tmp_path / "q")
         assert _dump(queued) == _dump(serial)
         assert _dump_failures(queued) == _dump_failures(serial)
+        assert sweep_result_to_dict(queued) == sweep_result_to_dict(serial)
         (failure,) = queued.failures.values()
         assert failure.error_type == "ValueError"
         assert failure.attempts == 1  # deterministic -> never retried
@@ -242,10 +244,30 @@ class TestQuarantine:
         events = [e["event"] for e in manifest["history"]]
         assert events == ["claim", "retry", "claim", "quarantined"]
 
+    def test_temporary_queue_keeps_quarantine_bundle(self, tmp_path,
+                                                     monkeypatch):
+        """Without queue_dir, a quarantined cell's bundle outlives run()."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cfg = tiny_system(2)
+        sweep = Sweep(workloads=[HangingWorkload(cfg.page_size)],
+                      policies=["griffin"], configs={"tiny": cfg})
+        result = sweep.run(scale=0.008, seed=5, cell_timeout=0.5,
+                           max_attempts=2, backoff_base=0.05,
+                           backoff_cap=0.2)
+        (failure,) = result.failures.values()
+        assert (failure.error_type, failure.attempts) == ("CellTimeout", 2)
+        bundle = Path(failure.bundle_path)
+        assert (bundle / "manifest.json").is_file()
+        assert tmp_path in bundle.parents  # the kept temporary queue
+
 
 class TestCellTimeoutClassic:
-    def test_classic_path_timeout_fails_one_cell(self):
-        """Sweep.run(cell_timeout=...) without a queue: same backstop."""
+    def test_classic_path_timeout_fails_one_cell(self, tmp_path,
+                                                 monkeypatch):
+        """Sweep.run(cell_timeout=...) without queue_dir: same backstop."""
+        # The timed-out cell is quarantined, so its temporary queue (and
+        # bundle) is kept; keep it inside the test's own directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         cfg = tiny_system(2)
         sweep = Sweep(workloads=[HangingWorkload(cfg.page_size), "SC"],
                       policies=["griffin"], configs={"tiny": cfg})

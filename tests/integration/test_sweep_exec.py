@@ -2,13 +2,15 @@
 
 The contract under test: a sweep's results are a pure function of its
 grid — identical bytes in identical key order no matter the execution
-strategy (``fork`` on or off, any ``workers``, any ``chunk_size``,
-resumed from cache or fresh).
+strategy (``fork`` on or off, in-process or through the queue, any
+``workers``, resumed from cache or fresh).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 
 import pytest
 
@@ -98,6 +100,22 @@ def _independent_runs() -> tuple[list, list]:
     return points, failures
 
 
+@pytest.fixture
+def temp_queues(monkeypatch) -> list:
+    """Temporary queue directories the sweeps create, in order."""
+    made = []
+    real_mkdtemp = tempfile.mkdtemp
+
+    def spy(*args, **kwargs):
+        path = real_mkdtemp(*args, **kwargs)
+        if os.path.basename(path).startswith("repro-sweep-"):
+            made.append(path)
+        return path
+
+    monkeypatch.setattr(tempfile, "mkdtemp", spy)
+    return made
+
+
 class TestExecutionParity:
     @pytest.fixture(scope="class")
     def serial(self):
@@ -111,12 +129,24 @@ class TestExecutionParity:
         assert cold.forked_cells == 0 and cold.cold_cells == 4
 
     def test_parallel_matches_serial(self, serial):
-        """workers=4 with a non-default chunk size: same bytes, same order."""
-        parallel = _knob_sweep().run(
-            scale=0.008, seed=5, workers=4, chunk_size=3
-        )
+        """workers=4 drain a queue: same bytes, same order."""
+        parallel = _knob_sweep().run(scale=0.008, seed=5, workers=4)
         assert not parallel.failures
         assert _dump(parallel) == _dump(serial)
+        # The queue reports what ran exactly as the in-process loop does.
+        assert (parallel.forked_cells, parallel.cold_cells,
+                parallel.fork_groups, parallel.prefix_events) == (
+            serial.forked_cells, serial.cold_cells,
+            serial.fork_groups, serial.prefix_events)
+
+    def test_clean_queue_run_leaves_no_temporary_dir(self, serial,
+                                                     temp_queues):
+        """workers=2 without queue_dir drains a temporary queue, then
+        removes it: a clean run leaves nothing behind."""
+        parallel = _knob_sweep().run(scale=0.008, seed=5, workers=2)
+        assert _dump(parallel) == _dump(serial)
+        assert len(temp_queues) == 1  # the sweep ran through a queue
+        assert not os.path.exists(temp_queues[0])
 
     def test_group_planning(self, serial):
         # griffin/griffin_flush x default/eager differ only in late
@@ -149,8 +179,7 @@ class TestExecutionParity:
         assert len(deduped.points) == 6 and len(deduped.failures) == 6
         # 2 baseline identities answer 6 cells; griffin's 6 all run.
         assert deduped.shared_cells == 4
-        if mode != "queue":
-            assert deduped.forked_cells + deduped.cold_cells == 8
+        assert deduped.forked_cells + deduped.cold_cells == 8
         runs = [id(run) for run in deduped.points.values()]
         assert len(set(runs)) == len(runs)  # independent copies
 
@@ -181,11 +210,10 @@ class TestForkBudget:
 
 class TestBlastRadius:
     def test_unpicklable_cell_does_not_kill_its_chunk(self):
-        """A cell whose inputs can't reach a worker falls back in-parent.
+        """A grid whose inputs can't reach a worker runs in-process.
 
-        Both cells of the chunk still succeed: the parent retries them
-        serially, where no pickling is involved.  (Previously the whole
-        chunk was blamed and every cell in it became a FailedRun.)
+        Both cells still succeed: without a ``queue_dir`` the sweep runs
+        them in the calling process, where no pickling is involved.
         """
         workload = get_workload("MT", scale=0.008, seed=5,
                                 page_size=tiny_system(2).page_size)
@@ -195,7 +223,7 @@ class TestBlastRadius:
             policies=["baseline", "griffin"],
             configs={"tiny": tiny_system(2)},
         )
-        result = sweep.run(scale=0.008, seed=5, workers=2, chunk_size=2)
+        result = sweep.run(scale=0.008, seed=5, workers=2)
         assert not result.failures
         assert len(result.points) == 2
         assert {k.policy for k in result.points} == {"baseline", "griffin"}
@@ -206,7 +234,7 @@ class TestBlastRadius:
             policies=["griffin", "no_such_policy"],
             configs={"tiny": tiny_system(2)},
         )
-        result = sweep.run(scale=0.008, seed=5, workers=2, chunk_size=2)
+        result = sweep.run(scale=0.008, seed=5, workers=2)
         assert len(result.points) == 1
         assert len(result.failures) == 1
         (failure,) = result.failures.values()
@@ -240,6 +268,54 @@ class TestCacheResume:
 
         fresh = full.run(scale=0.008, seed=5)
         assert _dump(resumed) == _dump(fresh)
+
+    def test_queue_run_resumes_from_cache(self, tmp_path, temp_queues):
+        """workers=2 with cache_dir + resume: a second run is all hits
+        and queues nothing."""
+        serial = _knob_sweep().run(scale=0.008, seed=5)
+        first = _knob_sweep().run(scale=0.008, seed=5, workers=2,
+                                  cache_dir=tmp_path, resume=True)
+        assert first.cache_hits == 0 and first.cache_misses == 4
+        second = _knob_sweep().run(scale=0.008, seed=5, workers=2,
+                                   cache_dir=tmp_path, resume=True)
+        assert len(temp_queues) == 1  # only the first run queued cells
+        assert second.cache_hits == 4 and second.cache_misses == 0
+        assert second.forked_cells == second.cold_cells == 0
+        assert _dump(first) == _dump(serial)
+        assert _dump(second) == _dump(serial)
+
+    def test_queue_dir_with_cache_dir(self, tmp_path):
+        """queue_dir and cache_dir combine: queue results fill the cache."""
+        serial = _knob_sweep().run(scale=0.008, seed=5)
+        queued = _knob_sweep().run(scale=0.008, seed=5,
+                                   queue_dir=tmp_path / "q",
+                                   cache_dir=tmp_path / "cache")
+        assert _dump(queued) == _dump(serial)
+        assert queued.cache_misses == 4
+        assert len(list((tmp_path / "cache" / "results").glob("*.json"))) == 4
+        resumed = _knob_sweep().run(scale=0.008, seed=5,
+                                    queue_dir=tmp_path / "q",
+                                    cache_dir=tmp_path / "cache", resume=True)
+        assert resumed.cache_hits == 4
+        assert _dump(resumed) == _dump(serial)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resumed_group_of_one_runs_cold(self, tmp_path, workers):
+        """Cache hits that leave one member of a fork group pending: that
+        cell runs cold on either executor, with nothing to amortize."""
+        def sweep(hypers):
+            return Sweep(workloads=["MT"], policies=["griffin"],
+                         configs={"tiny": tiny_system(2)}, hypers=hypers)
+
+        sweep({"default": _BASE}).run(scale=0.008, seed=5,
+                                      cache_dir=tmp_path)
+        resumed = sweep({
+            "default": _BASE,
+            "eager": _BASE.with_overrides(min_pages_per_source=1),
+        }).run(scale=0.008, seed=5, cache_dir=tmp_path, resume=True,
+               workers=workers)
+        assert (resumed.cache_hits, resumed.forked_cells,
+                resumed.cold_cells, resumed.fork_groups) == (1, 0, 1, 0)
 
     def test_cache_dir_without_resume_never_reads(self, tmp_path):
         sweep = Sweep(workloads=["MT"], policies=["griffin"],
