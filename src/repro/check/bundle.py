@@ -71,7 +71,7 @@ def write_crash_bundle(
     # Local import: sweep imports the harness stack; the check package
     # stays importable on its own.
     from repro.harness.sweep import _canon
-    from repro.perf.fingerprint import code_fingerprint
+    from repro.harness.fingerprint import code_fingerprint
 
     engine = machine.engine
     root = Path(bundle_dir)

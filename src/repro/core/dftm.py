@@ -29,22 +29,16 @@ class DelayedFirstTouchMigration:
     Attributes:
         page_table: System page table (occupancy source of truth).
         enabled: When False every fault migrates (baseline first touch).
-        deny_on_tie: Whether a GPU tied for the highest occupancy is
-            denied.  The paper denies "the GPU that has the highest
-            occupancy"; with ties (e.g. the all-zero start state) we deny,
-            which also realizes the paper's second property that pages
-            accessed only once are never migrated from the CPU.
+
+    The paper denies "the GPU that has the highest occupancy"; a GPU tied
+    for the highest (e.g. at the all-zero start state) is denied too,
+    which also realizes the paper's second property that pages accessed
+    only once are never migrated from the CPU.
     """
 
-    def __init__(
-        self,
-        page_table: PageTable,
-        enabled: bool = True,
-        deny_on_tie: bool = True,
-    ) -> None:
+    def __init__(self, page_table: PageTable, enabled: bool = True) -> None:
         self.page_table = page_table
         self.enabled = enabled
-        self.deny_on_tie = deny_on_tie
         self.denials = 0
         self.second_touch_migrations = 0
         self.first_touch_migrations = 0
@@ -59,12 +53,7 @@ class DelayedFirstTouchMigration:
             return FaultDecision.MIGRATE
 
         counts = self.page_table.gpu_page_counts()
-        peak = max(counts)
-        mine = counts[gpu_id]
-        is_highest = mine == peak if self.deny_on_tie else (
-            mine == peak and counts.count(peak) == 1
-        )
-        if is_highest:
+        if counts[gpu_id] == max(counts):
             entry.delayed_bit = True
             self.denials += 1
             return FaultDecision.DCA

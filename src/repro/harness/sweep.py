@@ -64,7 +64,7 @@ Caching
 
 ``cache_dir`` enables an on-disk cache keyed by a cell fingerprint
 (canonical JSON of the cell's full configuration) combined with
-:func:`repro.perf.fingerprint.code_fingerprint`, so any source change
+:func:`repro.harness.fingerprint.code_fingerprint`, so any source change
 invalidates every entry.  ``resume=True`` loads completed cells from the
 cache instead of re-running them — a killed sweep re-runs only what it
 had not finished.  Both executors read and write results there; the
@@ -844,7 +844,7 @@ class Sweep:
         cache = None
         code_fp = ""
         if cache_dir is not None or queued:
-            from repro.perf.fingerprint import code_fingerprint
+            from repro.harness.fingerprint import code_fingerprint
 
             code_fp = code_fingerprint()
         if cache_dir is not None:

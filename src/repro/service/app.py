@@ -164,7 +164,7 @@ class ExperimentService:
 
     def _prepare(self, spec: dict) -> dict:
         """Canonicalize a spec: grid, fingerprints, digest (blocking)."""
-        from repro.perf.fingerprint import code_fingerprint
+        from repro.harness.fingerprint import code_fingerprint
 
         deadline_s = None
         if isinstance(spec, dict) and spec.get("deadline_s") is not None:

@@ -100,16 +100,3 @@ def test_run_engine_backend_flag_matches_default(capsys):
         assert main(argv + ["--engine-backend", backend]) == 0
         assert capsys.readouterr().out == default_out
 
-
-def test_bench_parser_accepts_label_and_backend():
-    """`bench --label` names the report file; `--engine-backend` runs the
-    suite under another core (the compiled-parity CI job uses both)."""
-    from repro.cli import _build_parser
-
-    args = _build_parser().parse_args(
-        ["bench", "--quick", "--label", "compiled-ci",
-         "--engine-backend", "compiled", "--baseline", "none"]
-    )
-    assert args.label == "compiled-ci"
-    assert args.engine_backend == "compiled"
-    assert args.quick

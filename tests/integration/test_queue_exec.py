@@ -25,7 +25,7 @@ from repro.harness.io import result_to_dict, sweep_result_to_dict
 from repro.harness.queue import QueueSettings, SweepQueue
 from repro.harness.sweep import Sweep, plan_queue_cells
 from repro.harness.worker import _CTX, run_worker
-from repro.perf.fingerprint import code_fingerprint
+from repro.harness.fingerprint import code_fingerprint
 from repro.workloads.registry import get_workload
 
 _BASE = GriffinHyperParams.calibrated()

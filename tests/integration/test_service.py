@@ -117,7 +117,7 @@ def _queue_dirs(root) -> list:
 
 def _warm_cache(root, spec, oracle) -> None:
     """Pre-populate the service cache as a finished run would have."""
-    from repro.perf.fingerprint import code_fingerprint
+    from repro.harness.fingerprint import code_fingerprint
 
     sweep, params = sweep_from_spec(spec)
     grid = list(sweep._grid(params["scale"], params["seed"],
